@@ -35,6 +35,9 @@
 //! when any cell's measured peak RSS exceeds its declared budget (the CI
 //! out-of-core gate). This is the only mode expected to reach
 //! `--sharded huge` (2^24 vertices); the in-core workloads stop at large.
+//!
+//! An unknown flag, a flag missing its value, or a non-integer `--repeats`
+//! prints the usage and exits with status 2 before anything is measured.
 
 use ecl_gpu_sim::{scratch_footprint, GpuProfile};
 use ecl_graph::suite;
@@ -45,7 +48,6 @@ use ecl_mst_bench::runner::{
 };
 use ecl_mst_bench::sharded::{measure_sharded, sharded_scales_from_args};
 use ecl_mst_bench::{simcache, snapshot};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Wall-clock seconds of the Table 3 workload at the seed commit — the
@@ -60,10 +62,50 @@ use std::path::{Path, PathBuf};
 /// with 3 repeats, unsanitized.
 const SEED_BASELINE_WALL_SECONDS: f64 = 11.174;
 
+/// Every flag this binary reads.
+const USAGE: &str = "usage: bench_snapshot [--scale tiny|small|medium|large|huge] [--repeats N] \
+     [--sanitize] [--trace [PATH] [--diff BASELINE.profile.json]] \
+     [--metrics [PATH] [--metrics-diff BASELINE.json]] [--sharded SCALE[,SCALE...]]";
+
+/// Rejects an unknown flag, a flag missing its value and a non-integer
+/// `--repeats`, so a typo cannot silently skip a gate.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
+        match flag {
+            "--sanitize" => {}
+            "--trace" | "--metrics" => i += usize::from(value.is_some()),
+            "--scale" | "--repeats" | "--diff" | "--metrics-diff" | "--sharded" => {
+                let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+                if flag == "--repeats" && v.parse::<usize>().is_err() {
+                    return Err(format!("--repeats takes an integer, not `{v}`"));
+                }
+                i += 1;
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
+/// The path after `flag`, which [`check_args`] has made sure is present.
+fn path_arg(args: &[String], flag: &str) -> Option<PathBuf> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).map(PathBuf::from)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
     let scale = scale_from_args(&args);
     let repeats = Repeats::from_args(&args);
+    let sharded_scales = sharded_scales_from_args(&args);
     let profile = GpuProfile::TITAN_V;
     let codes: Vec<MstCode> = all_codes(false);
 
@@ -79,31 +121,13 @@ fn main() {
     // don't compare them to the baseline constant.
     let sanitize = sanitize_from_args(&args);
     let trace = trace_from_args(&args);
-    let diff_baseline: Option<PathBuf> =
-        args.iter()
-            .position(|a| a == "--diff")
-            .map(|i| match args.get(i + 1) {
-                Some(p) if !p.starts_with("--") => PathBuf::from(p),
-                _ => {
-                    eprintln!("--diff requires a baseline profile path");
-                    std::process::exit(2);
-                }
-            });
+    let diff_baseline = path_arg(&args, "--diff");
     if diff_baseline.is_some() && trace.is_none() {
         eprintln!("--diff needs --trace (the diff compares the fresh trace profile)");
         std::process::exit(2);
     }
     let metrics = metrics_from_args(&args);
-    let metrics_diff: Option<PathBuf> =
-        args.iter()
-            .position(|a| a == "--metrics-diff")
-            .map(|i| match args.get(i + 1) {
-                Some(p) if !p.starts_with("--") => PathBuf::from(p),
-                _ => {
-                    eprintln!("--metrics-diff requires a baseline metrics path");
-                    std::process::exit(2);
-                }
-            });
+    let metrics_diff = path_arg(&args, "--metrics-diff");
     if metrics_diff.is_some() && metrics.is_none() {
         eprintln!("--metrics-diff needs --metrics (the diff compares the fresh export)");
         std::process::exit(2);
@@ -151,7 +175,6 @@ fn main() {
     let process_peak_rss = peak_rss_bytes().unwrap_or(0);
 
     // Sharded out-of-core cells, also outside the timed window.
-    let sharded_scales = sharded_scales_from_args(&args);
     let sharded_cells: Vec<_> = sharded_scales
         .iter()
         .map(|&s| {
@@ -196,174 +219,33 @@ fn main() {
                 })
         });
 
-    let (const_bytes, pooled_bytes) = scratch_footprint();
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"table3\",");
-    let _ = writeln!(json, "  \"scale\": \"{scale_name}\",");
-    let _ = writeln!(json, "  \"repeats\": {current_repeats},");
-    let _ = writeln!(json, "  \"sanitize\": {sanitize},");
-    let _ = writeln!(json, "  \"sim_cache\": {},", simcache::enabled());
-    let _ = writeln!(json, "  \"inputs\": {n_inputs},");
-    let _ = writeln!(json, "  \"codes\": [");
-    for (c, code) in codes.iter().enumerate() {
-        let comma = if c + 1 < codes.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.4}, \"simulated_ms\": {:.4}}}{comma}",
-            code.name,
-            wall_s[c],
-            sim_s[c] * 1e3
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"total_wall_seconds\": {total_wall:.4},");
-    // Per-kernel shares from the traced run (absent without --trace). These
-    // sit after the keys `snapshot::read_snapshot` parses by first
-    // occurrence, so nested "name"/"share" keys cannot shadow them.
-    if let Some((profile, breakdown)) = &trace_profile {
-        let _ = writeln!(json, "  \"kernel_breakdown\": [");
-        for (i, k) in profile.kernels.iter().enumerate() {
-            let comma = if i + 1 < profile.kernels.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"share\": {:.4}, \"sim_seconds\": {:.6}}}{comma}",
-                k.name, k.share, k.sim_seconds
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(json, "  \"wall_breakdown\": [");
-        for (i, k) in breakdown.iter().enumerate() {
-            let comma = if i + 1 < breakdown.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"calls\": {}, \"total_seconds\": {:.4}, \"self_seconds\": {:.4}}}{comma}",
-                k.name, k.calls, k.total_seconds, k.self_seconds
-            );
-        }
-        let _ = writeln!(json, "  ],");
-    }
-    // Stable telemetry from the metered run (absent without --metrics).
-    // Keys all start "ecl." or are unique, so the first-occurrence parser
-    // in `snapshot::read_snapshot` (whose keys all appear above) is safe.
-    if let Some(snap) = &metrics_snap {
-        let hit = snap.counter("ecl.simcache.hit");
-        let looked = hit + snap.counter("ecl.simcache.miss") + snap.counter("ecl.simcache.stale");
-        let rate = if looked == 0 {
-            0.0
-        } else {
-            hit as f64 / looked as f64
-        };
-        let _ = writeln!(json, "  \"metrics\": {{");
-        let _ = writeln!(json, "    \"format\": \"ecl-metrics/1\",");
-        let _ = writeln!(json, "    \"simcache_hit_rate\": {rate:.4},");
-        let _ = writeln!(
-            json,
-            "    \"dsu_retry_total\": {},",
-            snap.counter("ecl.dsu.cas_retry")
-        );
-        let stable: Vec<_> = snap
-            .entries
+    let (scratch_const_bytes, scratch_pooled_bytes) = scratch_footprint();
+    let link = snapshot::Link {
+        scale: scale_name,
+        repeats: current_repeats,
+        sanitize,
+        sim_cache: simcache::enabled(),
+        inputs: n_inputs,
+        codes: codes
             .iter()
-            .filter(|e| e.stability == ecl_metrics::Stability::Stable)
-            .collect();
-        for (i, e) in stable.iter().enumerate() {
-            let comma = if i + 1 < stable.len() { "," } else { "" };
-            let _ = match e.kind {
-                ecl_metrics::Kind::Gauge => {
-                    writeln!(json, "    \"{}\": {}{comma}", e.name, e.gauge)
-                }
-                _ => writeln!(json, "    \"{}\": {}{comma}", e.name, e.count),
-            };
-        }
-        let _ = writeln!(json, "  }},");
-    }
-    // Dynamic-updates column. Unique keys, so `snapshot::read_snapshot`'s
-    // first-occurrence parser is unaffected.
-    let _ = writeln!(json, "  \"dynamic_updates\": {{");
-    let _ = writeln!(json, "    \"batches\": {},", dyn_report.batches);
-    let _ = writeln!(json, "    \"ops_per_batch\": {},", dyn_report.ops_per_batch);
-    let _ = writeln!(
-        json,
-        "    \"engine_wall_seconds\": {:.6},",
-        dyn_report.engine_wall_seconds
-    );
-    let _ = writeln!(
-        json,
-        "    \"rebuild_wall_seconds\": {:.6},",
-        dyn_report.rebuild_wall_seconds
-    );
-    let _ = writeln!(
-        json,
-        "    \"updates_speedup_vs_rebuild\": {:.3}",
-        dyn_report.speedup()
-    );
-    let _ = writeln!(json, "  }},");
-    // Sharded out-of-core cells (absent without --sharded). Unique keys
-    // again, and nested "scale" strings are lowercase names so they cannot
-    // shadow the top-level Debug-spelled "scale" for the chain parser
-    // (which reads first occurrence anyway).
-    if !sharded_cells.is_empty() {
-        let _ = writeln!(json, "  \"sharded\": [");
-        for (i, cell) in sharded_cells.iter().enumerate() {
-            let comma = if i + 1 < sharded_cells.len() { "," } else { "" };
-            let _ = writeln!(json, "    {{");
-            let _ = writeln!(json, "      \"scale\": \"{}\",", cell.scale.name());
-            let _ = writeln!(json, "      \"shards\": {},", cell.shards);
-            let _ = writeln!(json, "      \"wall_seconds\": {:.4},", cell.wall_seconds);
-            match cell.monolith_wall_seconds {
-                Some(m) => {
-                    let _ = writeln!(json, "      \"monolith_wall_seconds\": {m:.4},");
-                    let _ = writeln!(
-                        json,
-                        "      \"slowdown_vs_monolith\": {:.3},",
-                        cell.slowdown_vs_monolith().unwrap_or(f64::NAN)
-                    );
-                }
-                None => {
-                    let _ = writeln!(json, "      \"monolith_wall_seconds\": null,");
-                    let _ = writeln!(json, "      \"slowdown_vs_monolith\": null,");
-                }
-            }
-            let _ = match cell.parity {
-                Some(p) => writeln!(json, "      \"parity\": {p},"),
-                None => writeln!(json, "      \"parity\": null,"),
-            };
-            let _ = writeln!(json, "      \"forest_edges\": {},", cell.forest_edges);
-            let _ = writeln!(json, "      \"survivor_edges\": {},", cell.survivor_edges);
-            let _ = writeln!(json, "      \"merge_rounds\": {},", cell.merge_rounds);
-            let _ = writeln!(json, "      \"spill_bytes\": {},", cell.spill_bytes);
-            let _ = writeln!(json, "      \"peak_rss_bytes\": {},", cell.peak_rss_bytes);
-            let _ = writeln!(
-                json,
-                "      \"rss_budget_bytes\": {},",
-                cell.rss_budget_bytes
-            );
-            let _ = writeln!(json, "      \"within_budget\": {}", cell.within_budget());
-            let _ = writeln!(json, "    }}{comma}");
-        }
-        let _ = writeln!(json, "  ],");
-    }
-    match &baseline {
-        Some((base, source)) => {
-            let _ = writeln!(json, "  \"baseline_wall_seconds\": {base:.4},");
-            let _ = writeln!(json, "  \"baseline_source\": \"{source}\",");
-            let _ = writeln!(json, "  \"speedup_vs_baseline\": {:.3},", base / total_wall);
-        }
-        None => {
-            let _ = writeln!(json, "  \"baseline_wall_seconds\": null,");
-            let _ = writeln!(json, "  \"baseline_source\": null,");
-            let _ = writeln!(json, "  \"speedup_vs_baseline\": null,");
-        }
-    }
-    let _ = writeln!(json, "  \"peak_rss_bytes\": {process_peak_rss},");
-    let _ = writeln!(json, "  \"scratch_const_bytes\": {const_bytes},");
-    let _ = writeln!(json, "  \"scratch_pooled_bytes\": {pooled_bytes}");
-    json.push_str("}\n");
-
+            .enumerate()
+            .map(|(c, code)| snapshot::CodeTotals {
+                name: code.name,
+                wall_seconds: wall_s[c],
+                simulated_ms: sim_s[c] * 1e3,
+            })
+            .collect(),
+        total_wall_seconds: total_wall,
+        trace: trace_profile.as_ref(),
+        metrics: metrics_snap.as_ref(),
+        dynamic: &dyn_report,
+        sharded: &sharded_cells,
+        baseline,
+        peak_rss_bytes: process_peak_rss,
+        scratch_const_bytes,
+        scratch_pooled_bytes,
+    };
+    let json = link.to_json();
     std::fs::write(&out, &json).expect("write snapshot");
     print!("{json}");
     eprintln!("wrote {out}");

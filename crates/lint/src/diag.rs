@@ -1,6 +1,6 @@
 //! Diagnostics and the machine-readable report.
 
-use std::fmt::Write as _;
+use ecl_metrics::json::Value;
 use std::path::PathBuf;
 
 /// One finding, anchored to an exact source position.
@@ -58,86 +58,48 @@ impl Report {
 
     /// All error diagnostics (findings then unused waivers), sorted.
     pub fn all_errors(&self) -> Vec<&Diagnostic> {
-        let mut v: Vec<&Diagnostic> = self.findings.iter().chain(&self.unused_waivers).collect();
-        v.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
-        v
+        by_position(self.findings.iter().chain(&self.unused_waivers))
     }
 
-    /// Renders the `ecl-lint/1` JSON document. Hand-rolled (the workspace
-    /// vendors no serde) and deterministic: keys in fixed order, findings
-    /// sorted by position.
+    /// Renders the `ecl-lint/1` JSON document: deterministic, keys in
+    /// fixed order, findings sorted by position.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"version\": \"ecl-lint/1\",\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        s.push_str("  \"rules\": [\n");
-        for (i, r) in self.rules.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": {}, \"description\": {}}}",
-                json_str(r.name),
-                json_str(r.description)
-            );
-            s.push_str(if i + 1 < self.rules.len() {
-                ",\n"
-            } else {
-                "\n"
+        let rules = self.rules.iter().map(|r| {
+            Value::obj(vec![
+                ("name", r.name.into()),
+                ("description", r.description.into()),
+            ])
+        });
+        let diagnostics = |list: &[Diagnostic]| {
+            let rows = by_position(list).into_iter().map(|d| {
+                Value::obj(vec![
+                    ("rule", d.rule.as_str().into()),
+                    ("file", Value::Str(d.file.display().to_string())),
+                    ("line", d.line.into()),
+                    ("col", d.col.into()),
+                    ("message", d.message.as_str().into()),
+                    ("snippet", d.snippet.as_str().into()),
+                ])
             });
-        }
-        s.push_str("  ],\n");
-        for (key, list) in [
-            ("findings", &self.findings),
-            ("unused_waivers", &self.unused_waivers),
-        ] {
-            let mut sorted: Vec<&Diagnostic> = list.iter().collect();
-            sorted.sort_by(|a, b| {
-                (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
-            });
-            let _ = writeln!(s, "  \"{key}\": [");
-            for (i, d) in sorted.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \
-                     \"message\": {}, \"snippet\": {}}}",
-                    json_str(&d.rule),
-                    json_str(&d.file.display().to_string()),
-                    d.line,
-                    d.col,
-                    json_str(&d.message),
-                    json_str(&d.snippet)
-                );
-                s.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-            }
-            s.push_str("  ],\n");
-        }
-        let _ = write!(
-            s,
-            "  \"clean\": {}\n}}\n",
-            if self.is_clean() { "true" } else { "false" }
-        );
-        s
+            Value::Arr(rows.collect())
+        };
+        Value::obj(vec![
+            ("version", "ecl-lint/1".into()),
+            ("files_scanned", self.files_scanned.into()),
+            ("rules", Value::Arr(rules.collect())),
+            ("findings", diagnostics(&self.findings)),
+            ("unused_waivers", diagnostics(&self.unused_waivers)),
+            ("clean", self.is_clean().into()),
+        ])
+        .to_document()
     }
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `list` sorted by file, line, column, then rule.
+fn by_position<'a>(list: impl IntoIterator<Item = &'a Diagnostic>) -> Vec<&'a Diagnostic> {
+    let mut v: Vec<&Diagnostic> = list.into_iter().collect();
+    v.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
+    v
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 
 use ecl_lint::diag::Report;
 use ecl_lint::{rules, run, Workspace};
+use ecl_metrics::json::Value;
 use std::path::Path;
 
 /// Rule name → virtual workspace-relative path its fixtures pretend to be.
@@ -155,12 +156,20 @@ fn unknown_waiver_names_are_flagged_on_full_registry() {
 fn json_report_is_machine_readable() {
     let (rule, vpath) = CASES[0];
     let r = run_fixture(rule, vpath, "fail");
-    let json = r.to_json();
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(
-        json.contains("\"ecl-lint/1\""),
-        "format tag missing: {json}"
+    let doc = ecl_metrics::json::parse(&r.to_json()).expect("the report parses");
+    let int = |v: &Value, k| v.get(k).and_then(Value::as_u64);
+    assert_eq!(
+        doc.get("version").and_then(Value::as_str),
+        Some("ecl-lint/1")
     );
-    assert!(json.contains("\"clean\": false"));
-    assert!(json.contains("host-access-in-launch"));
+    assert_eq!(int(&doc, "files_scanned"), Some(1));
+    assert_eq!(doc.get("clean").and_then(Value::as_bool), Some(false));
+    let findings = doc
+        .get("findings")
+        .and_then(Value::as_arr)
+        .expect("findings");
+    let first = &findings[0];
+    assert_eq!(first.get("rule").and_then(Value::as_str), Some(rule));
+    assert_eq!(first.get("file").and_then(Value::as_str), Some(vpath));
+    assert_eq!((int(first, "line"), int(first, "col")), (Some(4), Some(21)));
 }

@@ -48,8 +48,10 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod chrome;
-pub mod json;
 pub mod profile;
+
+/// The workspace JSON codec, which lives in the leaf crate `ecl-metrics`.
+pub use ecl_metrics::json;
 
 pub use profile::{DiffReport, KernelProfile, Profile, RoundProfile};
 

@@ -178,58 +178,43 @@ impl Profile {
     /// Serializes the profile as JSON (stable byte-for-byte for
     /// deterministic sessions; `f64`s use shortest round-trip form).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"ecl-trace-profile/1\",\n  \"total_kernel_seconds\": ");
-        json::write_f64(&mut out, self.total_kernel_seconds);
-        out.push_str(",\n  \"total_memcpy_seconds\": ");
-        json::write_f64(&mut out, self.total_memcpy_seconds);
-        out.push_str(",\n  \"kernels\": [");
-        for (i, k) in self.kernels.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"name\": ");
-            json::write_escaped(&mut out, &k.name);
-            let _ = write!(out, ", \"launches\": {}, \"sim_seconds\": ", k.launches);
-            json::write_f64(&mut out, k.sim_seconds);
-            out.push_str(", \"share\": ");
-            json::write_f64(&mut out, k.share);
-            let _ = write!(
-                out,
-                ", \"atomics\": {}, \"cas_retries\": {}, \"max_imbalance\": ",
-                k.atomics, k.cas_retries
-            );
-            json::write_f64(&mut out, k.max_imbalance);
-            out.push_str(", \"mean_imbalance\": ");
-            json::write_f64(&mut out, k.mean_imbalance);
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"rounds\": [");
-        for (i, r) in self.rounds.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(out, "    {{\"index\": {}, \"sim_seconds\": ", r.index);
-            json::write_f64(&mut out, r.sim_seconds);
-            out.push_str(", \"metrics\": {");
-            for (j, (k, v)) in r.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                json::write_escaped(&mut out, k);
-                out.push_str(": ");
-                json::write_f64(&mut out, *v);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ],\n  \"find_hops\": {\"calls\": ");
-        let _ = write!(out, "{}", self.hops.calls);
-        let _ = write!(out, ", \"total_hops\": {}", self.hops.total_hops);
-        out.push_str(", \"buckets\": [");
-        for (i, b) in self.hops.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}\n}\n");
-        out
+        let kernels = self.kernels.iter().map(|k| {
+            Value::obj(vec![
+                ("name", k.name.as_str().into()),
+                ("launches", k.launches.into()),
+                ("sim_seconds", k.sim_seconds.into()),
+                ("share", k.share.into()),
+                ("atomics", k.atomics.into()),
+                ("cas_retries", k.cas_retries.into()),
+                ("max_imbalance", k.max_imbalance.into()),
+                ("mean_imbalance", k.mean_imbalance.into()),
+            ])
+        });
+        let rounds = self.rounds.iter().map(|r| {
+            let metrics = r.metrics.iter().map(|(k, v)| (k.clone(), Value::Num(*v)));
+            Value::obj(vec![
+                ("index", r.index.into()),
+                ("sim_seconds", r.sim_seconds.into()),
+                ("metrics", Value::Obj(metrics.collect())),
+            ])
+        });
+        let buckets = self.hops.buckets.iter().map(|&b| b.into());
+        Value::obj(vec![
+            ("schema", "ecl-trace-profile/1".into()),
+            ("total_kernel_seconds", self.total_kernel_seconds.into()),
+            ("total_memcpy_seconds", self.total_memcpy_seconds.into()),
+            ("kernels", Value::Arr(kernels.collect())),
+            ("rounds", Value::Arr(rounds.collect())),
+            (
+                "find_hops",
+                Value::obj(vec![
+                    ("calls", self.hops.calls.into()),
+                    ("total_hops", self.hops.total_hops.into()),
+                    ("buckets", Value::Arr(buckets.collect())),
+                ]),
+            ),
+        ])
+        .to_document()
     }
 
     /// Parses a profile previously written by [`Profile::to_json`].
