@@ -37,6 +37,6 @@ pub use dynamic::{BatchStats, DynamicMsf, SlidingWindow, UpdateOp};
 pub use gpu::{ecl_mst_gpu, ecl_mst_gpu_sequential, ecl_mst_gpu_with, GpuRun};
 pub use result::{pack, unpack, MstError, MstResult, EMPTY};
 pub use serial::serial_kruskal;
-pub use sharded::{sharded_msf, ShardBackend, ShardedConfig, ShardedForest, ShardedRun};
+pub use sharded::{sharded_msf, ShardedConfig, ShardedForest, ShardedRun};
 pub use upload::{derived_const, evict_graph, DeviceCsr};
 pub use verify::{ecl_mst_cpu_verified, ecl_mst_gpu_verified, verify_msf};

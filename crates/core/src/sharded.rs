@@ -6,9 +6,11 @@
 //!
 //! 1. **Stage 1 (shard solve).** The edge stream arrives as K shards
 //!    through [`ecl_graph::shard::EdgeShards`]; each shard is solved
-//!    independently (the existing CPU backend, or the triple-Kruskal merge
-//!    kernel below) and only its ≤ n−1 MSF survivor edges are kept —
-//!    handed to stage 2 *sorted by the global total order*.
+//!    independently by the triple-Kruskal merge kernel below and only its
+//!    ≤ n−1 MSF survivor edges are kept — handed to stage 2 *sorted by the
+//!    global total order*. One kernel serves every host: it beat the full
+//!    CPU backend on remapped shard graphs at every scale measured, with
+//!    the same forest (DESIGN.md §19).
 //! 2. **Stage 2 (hierarchical merge).** Survivor sets are unioned pairwise
 //!    and re-solved, Borůvka-style, until one forest remains. Because every
 //!    set arrives sorted, a level merge is a linear two-way merge followed
@@ -34,11 +36,10 @@
 //! merge pair, never the input graph. `crates/bench` measures the resulting
 //! peak RSS (VmHWM) and asserts the budget in `bench_snapshot`.
 
-use crate::config::OptConfig;
 use crate::result::{pack, unpack, MstResult};
 use ecl_dsu::SeqDsu;
 use ecl_graph::shard::{EdgeShards, ShardTriple};
-use ecl_graph::{par, simd, CsrGraph, GraphBuilder, VertexId, Weight};
+use ecl_graph::{par, simd, CsrGraph, VertexId, Weight};
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::path::{Path, PathBuf};
@@ -61,33 +62,6 @@ const FILTER_MIN_EDGES: usize = 4096;
 /// agrees on. Survivor sets flow between pipeline stages in this form.
 type Wuv = (Weight, VertexId, VertexId);
 
-/// Per-shard solver choice for stage 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardBackend {
-    /// Pick per host: the full CPU backend when a thread pool is available
-    /// (its parallel phases pay off), the triple-Kruskal kernel on
-    /// single-thread hosts (no per-shard CSR build overhead). Both produce
-    /// the same bits, so this is a pure performance choice.
-    Auto,
-    /// `ecl_mst_cpu_with(OptConfig::full())` on a densely remapped shard.
-    EclCpu,
-    /// The merge kernel itself ([`solve_triples`] path): one sort in the
-    /// total order plus a greedy DSU scan on global ids; genuinely dense
-    /// shards detour through the packed SWAR filter split.
-    Kruskal,
-}
-
-impl ShardBackend {
-    fn use_cpu_backend(self) -> bool {
-        match self {
-            // ecl-lint: allow(thread-count-dependence) pure performance fork: both backends produce bit-identical forests
-            ShardBackend::Auto => par::max_threads() > 1,
-            ShardBackend::EclCpu => true,
-            ShardBackend::Kruskal => false,
-        }
-    }
-}
-
 /// Configuration for [`sharded_msf`].
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
@@ -97,8 +71,6 @@ pub struct ShardedConfig {
     /// sequentially — the bounded-RSS external-memory mode. When `None`,
     /// everything stays in memory and shards solve in parallel.
     pub spill_dir: Option<PathBuf>,
-    /// Stage-1 solver.
-    pub backend: ShardBackend,
 }
 
 impl ShardedConfig {
@@ -107,7 +79,6 @@ impl ShardedConfig {
         Self {
             shards,
             spill_dir: None,
-            backend: ShardBackend::Auto,
         }
     }
 
@@ -116,7 +87,6 @@ impl ShardedConfig {
         Self {
             shards,
             spill_dir: Some(dir.to_path_buf()),
-            backend: ShardBackend::Auto,
         }
     }
 }
@@ -203,14 +173,14 @@ pub fn sharded_msf(src: &dyn EdgeShards, cfg: &ShardedConfig) -> ShardedRun {
             // working set at a time.
             let mut out = Vec::with_capacity(k);
             for i in 0..k {
-                let survivors = solve_shard(src.shard(i, k), cfg.backend);
+                let survivors = solve_triples(src.shard(i, k));
                 survivor_edges += survivors.len() as u64;
                 out.push(store(dir, 0, i, &survivors, &mut spill_bytes));
             }
             out
         } else {
             let idx: Vec<usize> = (0..k).collect();
-            par::par_map(&idx, |_, &i| solve_shard(src.shard(i, k), cfg.backend))
+            par::par_map(&idx, |_, &i| solve_triples(src.shard(i, k)))
                 .into_iter()
                 .map(|s| {
                     survivor_edges += s.len() as u64;
@@ -274,45 +244,6 @@ pub fn sharded_msf(src: &dyn EdgeShards, cfg: &ShardedConfig) -> ShardedRun {
     }
 }
 
-/// Solves one shard with the configured backend. Survivors come back
-/// sorted by the total order, ready for linear level merges.
-fn solve_shard(triples: Vec<ShardTriple>, backend: ShardBackend) -> Vec<Wuv> {
-    if backend.use_cpu_backend() {
-        solve_shard_cpu(triples)
-    } else {
-        solve_triples(triples)
-    }
-}
-
-/// Stage-1 solve through the existing CPU backend: densely remap the
-/// shard's endpoints (the sorted vertex table is monotone, so local ids
-/// preserve `(u, v)` order and with it the global total order), build a
-/// CSR, run `ecl_mst_cpu_with`, and map the survivors back.
-fn solve_shard_cpu(triples: Vec<ShardTriple>) -> Vec<Wuv> {
-    let verts = endpoint_table(&triples);
-    let lid_of = scatter_table(&verts);
-    let mut b = GraphBuilder::new(verts.len());
-    for &(u, v, w) in &triples {
-        b.add_edge(lid_of[u as usize], lid_of[v as usize], w);
-    }
-    drop(triples);
-    drop(lid_of);
-    let g = b.build();
-    let run = crate::cpu::ecl_mst_cpu_with(&g, &OptConfig::full());
-    let list = g.edge_list();
-    let mut out: Vec<Wuv> = run
-        .result
-        .edge_ids()
-        .into_iter()
-        .map(|id| {
-            let (lu, lv, w) = list[id as usize];
-            (w, verts[lu as usize], verts[lv as usize])
-        })
-        .collect();
-    out.par_sort_unstable();
-    out
-}
-
 /// Merges a survivor-set pair into one forest (the odd set of a level
 /// passes through untouched — it is already an MSF in total order).
 ///
@@ -350,7 +281,7 @@ fn merge_sorted(a: Vec<Wuv>, b: Vec<Wuv>) -> Vec<Wuv> {
     out
 }
 
-/// The merge kernel: MSF of a global-endpoint triple multiset under the
+/// The stage-1 kernel: MSF of a global-endpoint triple multiset under the
 /// global `(weight, u, v)` total order, survivors returned sorted by that
 /// same order.
 ///
@@ -624,23 +555,17 @@ mod tests {
     }
 
     #[test]
-    fn parity_against_serial_kruskal_both_backends() {
+    fn parity_against_serial_kruskal() {
         let g = uniform_random(1500, 8.0, 3);
-        for backend in [ShardBackend::EclCpu, ShardBackend::Kruskal] {
-            let mut cfg = ShardedConfig::in_memory(5);
-            cfg.backend = backend;
-            parity(&g, &cfg);
-        }
+        parity(&g, &ShardedConfig::in_memory(5));
     }
 
     #[test]
     fn dense_input_exercises_filter_split() {
-        // copapers is dense enough for `filter_threshold` to fire in the
-        // stage-1 Kruskal path.
+        // copapers is dense enough for `filter_threshold` to fire in
+        // stage 1.
         let g = copapers(700, 14, 4);
-        let mut cfg = ShardedConfig::in_memory(3);
-        cfg.backend = ShardBackend::Kruskal;
-        parity(&g, &cfg);
+        parity(&g, &ShardedConfig::in_memory(3));
     }
 
     #[test]

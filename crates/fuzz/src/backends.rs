@@ -14,7 +14,7 @@ use ecl_gpu_sim::GpuProfile;
 use ecl_graph::CsrGraph;
 use ecl_mst::{
     deopt_ladder, ecl_mst_cpu_with, ecl_mst_gpu_with, serial_kruskal, sharded_msf, MstError,
-    MstResult, OptConfig, ShardBackend, ShardedConfig,
+    MstResult, OptConfig, ShardedConfig,
 };
 
 /// What a backend promises on multi-component inputs.
@@ -121,20 +121,19 @@ pub fn registry() -> Vec<Backend> {
         gunrock_gpu(g, GpuProfile::TITAN_V).map(|r| r.result)
     }));
     // The sharded out-of-core pipeline, fed the fuzz graph's own edge list
-    // re-sharded: in-memory with the CPU backend, and spilling survivor
-    // files with the Kruskal merge kernel — both must be bit-identical to
-    // every in-core code on every generated case.
+    // re-sharded: four shards solved in parallel in memory, and three
+    // shards spilling survivor files — both must be bit-identical to every
+    // in-core code on every generated case.
     v.push(Backend::msf("cpu/sharded", |g| {
         let src = ecl_graph::InMemoryShards::new(g.num_vertices(), g.edge_list());
-        let mut cfg = ShardedConfig::in_memory(4);
-        cfg.backend = ShardBackend::EclCpu;
-        sharded_msf(&src, &cfg).forest.to_mst_result(g)
+        sharded_msf(&src, &ShardedConfig::in_memory(4))
+            .forest
+            .to_mst_result(g)
     }));
     v.push(Backend::msf("cpu/sharded-spill", |g| {
         let src = ecl_graph::InMemoryShards::new(g.num_vertices(), g.edge_list());
         let dir = std::env::temp_dir().join(format!("ecl-fuzz-shard-{}", std::process::id()));
-        let mut cfg = ShardedConfig::spilling(3, &dir);
-        cfg.backend = ShardBackend::Kruskal;
+        let cfg = ShardedConfig::spilling(3, &dir);
         let r = sharded_msf(&src, &cfg).forest.to_mst_result(g);
         std::fs::remove_dir_all(&dir).ok();
         r

@@ -20,9 +20,11 @@
 //!   at closed-form RNG offsets (DESIGN.md §14), so sharding is free:
 //!   [`UniformRandomShards`] and [`GridShards`] route chunk `c` to shard
 //!   `c mod of` and re-open the streams mid-way.
-//! * [`BinaryFileShards`] — streams the ECL binary CSR format through a
-//!   bounded-memory reader with the same header distrust as
-//!   [`crate::io::from_binary`], for inputs that exist only on disk.
+//! * [`BinaryFileShards`] — reads the ECL binary CSR format with the same
+//!   header distrust as [`crate::io::from_binary`], for inputs that exist
+//!   only on disk. Its shards are contiguous, emission-balanced row ranges
+//!   cut at checkpoints recorded by one validating pass at open, so each
+//!   shard call reads only its own slice of the file.
 
 use crate::generators::random::UniformRandomShards;
 use crate::generators::{grid, EMIT_CHUNK};
@@ -30,7 +32,7 @@ use crate::io::MAGIC;
 use crate::par;
 use crate::{VertexId, Weight};
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// One emitted edge: normalized endpoints (`u ≤ v` for generator sources)
@@ -140,65 +142,121 @@ fn check_shard_index(k: usize, of: usize) {
     assert!(k < of, "shard index {k} out of range for {of} shards");
 }
 
-/// Streams the ECL binary CSR format (`crate::io`) as a shard source with
-/// bounded memory: three cursors walk `row_starts`, `adjacency`, and
-/// `arc_weights` in lockstep, emitting each undirected edge once (on its
-/// `u < v` arc) and dealing emissions to shards in [`EMIT_CHUNK`] blocks.
+/// Rows between open-time checkpoints. Shard boundaries sit on
+/// checkpoints, so this is the granularity of shard balance; the table
+/// costs one [`Checkpoint`] per stride (4 Ki entries at 2^24 vertices).
+const CHECKPOINT_ROWS: usize = 4096;
+
+/// Words per bulk read: 256 KiB of file per block.
+const BLOCK_WORDS: usize = 1 << 16;
+
+/// The stream state at the start of a row: the row, its first arc, and the
+/// `u < v` emissions of all earlier rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Checkpoint {
+    row: usize,
+    arc: usize,
+    emitted: usize,
+}
+
+/// Reads the ECL binary CSR format (`crate::io`) as a shard source with
+/// bounded memory, emitting each undirected edge once (on its `u < v` arc).
 ///
 /// The header is distrusted exactly like [`crate::io::from_binary`]: magic,
 /// version, arc-count parity, and the payload length implied by the counts
-/// are all checked against the file, and a full validation pass at
-/// construction verifies `row_starts` monotonicity and adjacency range —
-/// so a later [`EdgeShards::shard`] call only re-checks what it streams.
-/// Unlike the in-memory reader this never holds an `O(n)` array.
+/// are all checked against the file. A full validation pass at
+/// construction verifies `row_starts` monotonicity and adjacency range,
+/// counts the emissions, and records a sparse checkpoint every
+/// `CHECKPOINT_ROWS` rows (plus the end). Shard `k` of `of` is the
+/// contiguous row range between the first checkpoints at or past
+/// `total·k/of` and `total·(k+1)/of` emissions, so every shard is within
+/// one checkpoint window of an equal share. A shard call seeks to its
+/// range's slices of `row_starts`, `adjacency` and `arc_weights`, reads
+/// them in bulk blocks, never past the range's last arc, and re-checks
+/// what it reads: the file length, the structure, and that the range's
+/// first and last `row_starts` words and its emission count still match
+/// the checkpoints. Any mismatch means the file changed underneath the
+/// source, and the shard call panics rather than return edges. Memory is
+/// `O(n / CHECKPOINT_ROWS)` plus the shard itself, never an `O(n)` array.
 pub struct BinaryFileShards {
     path: PathBuf,
     num_vertices: usize,
     arcs: usize,
-    emissions: usize,
+    checkpoints: Vec<Checkpoint>,
 }
 
 impl BinaryFileShards {
-    /// Opens and validates `path`, streaming the whole file once.
+    /// Opens and validates `path`, reading `row_starts` and `adjacency`
+    /// once.
     pub fn open(path: &Path) -> Result<Self, crate::io::BinaryError> {
         let mut src = Self {
             path: path.to_path_buf(),
             num_vertices: 0,
             arcs: 0,
-            emissions: 0,
+            checkpoints: Vec::new(),
         };
-        let (n, arcs) = src.read_header()?;
+        let file = src.open_file()?;
+        let (n, arcs) = read_header(&file, &src.path)?;
         src.num_vertices = n;
         src.arcs = arcs;
-        // Validation pass: also counts the u < v emissions so
-        // `approx_edges` is exact (a malformed file could hold mirrorless
-        // arcs; the count must come from the stream, not `arcs / 2`).
-        src.emissions = src.stream(0, 1, |_| {})?;
+        src.check_len(&file)?;
+        // The emission count comes from the stream, not `arcs / 2`: a
+        // malformed file could hold mirrorless arcs.
+        let start = Checkpoint {
+            row: 0,
+            arc: 0,
+            emitted: 0,
+        };
+        let mut checkpoints = Vec::with_capacity(n / CHECKPOINT_ROWS + 2);
+        let end = src.walk(
+            &file,
+            start,
+            (n, arcs),
+            false,
+            |c| {
+                if c.row % CHECKPOINT_ROWS == 0 {
+                    checkpoints.push(c);
+                }
+            },
+            |_| {},
+        )?;
+        if end.arc != arcs {
+            return Err(
+                format!("row_starts ends at {}, expected arc count {arcs}", end.arc).into(),
+            );
+        }
+        checkpoints.push(end);
+        src.checkpoints = checkpoints;
         Ok(src)
     }
 
-    /// Reads and cross-checks the 16-byte header against the file length.
-    fn read_header(&self) -> Result<(usize, usize), crate::io::BinaryError> {
-        let mut r = self.reader(0)?;
-        let (magic, version) = (read_u32(&mut r)?, read_u32(&mut r)?);
-        if magic != MAGIC {
-            return Err(format!("bad magic {magic:#x}, expected {MAGIC:#x}").into());
-        }
-        if version != crate::io::VERSION {
-            return Err(format!("unsupported version {version}").into());
-        }
-        let n = read_u32(&mut r)? as u64;
-        let arcs = read_u32(&mut r)? as u64;
-        if !arcs.is_multiple_of(2) {
-            return Err(format!(
-                "header arc count {arcs} is odd (undirected graphs store mirror arc pairs)"
-            )
-            .into());
-        }
-        let len = std::fs::metadata(&self.path)
+    fn open_file(&self) -> Result<File, crate::io::BinaryError> {
+        File::open(&self.path).map_err(|e| format!("open {}: {e}", self.path.display()).into())
+    }
+
+    /// Byte offsets of `row_starts[row]`, `adjacency[arc]` and
+    /// `arc_weights[arc]`.
+    fn row_at(&self, row: usize) -> u64 {
+        16 + 4 * row as u64
+    }
+
+    fn adj_at(&self, arc: usize) -> u64 {
+        self.row_at(self.num_vertices + 1) + 4 * arc as u64
+    }
+
+    fn wts_at(&self, arc: usize) -> u64 {
+        self.adj_at(self.arcs + arc)
+    }
+
+    /// Checks the file length against the header counts (`u64`, so a
+    /// header can never overflow into a spurious match).
+    fn check_len(&self, file: &File) -> Result<(), crate::io::BinaryError> {
+        let (n, arcs) = (self.num_vertices as u64, self.arcs as u64);
+        let len = file
+            .metadata()
             .map_err(|e| format!("stat {}: {e}", self.path.display()))?
             .len();
-        let need = 16 + 4u64 * ((n + 1) + 3 * arcs);
+        let need = 16 + 4 * ((n + 1) + 3 * arcs);
         if len != need {
             return Err(format!(
                 "file length {len} disagrees with header counts (n={n}, arcs={arcs}): \
@@ -206,66 +264,101 @@ impl BinaryFileShards {
             )
             .into());
         }
-        Ok((n as usize, arcs as usize))
+        Ok(())
     }
 
-    fn reader(&self, offset: u64) -> Result<BufReader<File>, crate::io::BinaryError> {
-        let mut f =
-            File::open(&self.path).map_err(|e| format!("open {}: {e}", self.path.display()))?;
-        std::io::Seek::seek(&mut f, std::io::SeekFrom::Start(offset))
-            .map_err(|e| format!("seek {}: {e}", self.path.display()))?;
-        Ok(BufReader::new(f))
+    fn end(&self) -> Checkpoint {
+        *self.checkpoints.last().expect("open records the end")
     }
 
-    /// Streams the file once, invoking `emit` for every `u < v` arc whose
-    /// emission block is dealt to shard `k` of `of`, validating structure
-    /// along the way. Returns the total emission count.
-    fn stream(
-        &self,
-        k: usize,
-        of: usize,
-        mut emit: impl FnMut(ShardTriple),
-    ) -> Result<usize, crate::io::BinaryError> {
-        let (n, arcs) = (self.num_vertices, self.arcs);
-        let mut rows = self.reader(16)?;
-        let mut adj = self.reader(16 + 4 * (n as u64 + 1))?;
-        let mut wts = self.reader(16 + 4 * (n as u64 + 1 + arcs as u64))?;
-
-        let mut row_end_prev = read_u32(&mut rows)?;
-        if row_end_prev != 0 {
-            return Err(format!("row_starts[0] = {row_end_prev}, expected 0").into());
+    /// The checkpoint shard `k` of `of` starts at: the first one at or
+    /// past `total·k/of` emissions, and the end for `k == of`.
+    fn boundary(&self, k: usize, of: usize) -> Checkpoint {
+        let end = self.end();
+        if k == of {
+            return end;
         }
-        let mut emitted = 0usize;
-        for u in 0..n {
-            let row_end = read_u32(&mut rows)?;
-            if row_end < row_end_prev || row_end as usize > arcs {
+        let target = (end.emitted as u128 * k as u128 / of as u128) as usize;
+        self.checkpoints[self.checkpoints.partition_point(|c| c.emitted < target)]
+    }
+
+    /// Walks rows `from.row..to_row`, whose arcs end at `arc_end`,
+    /// validating structure, handing `at_row` the state at the start of
+    /// every row and `emit` every `u < v` arc (weight 0 unless `weights`).
+    /// Reads exactly `row_starts[from.row..=to_row]` and the range's arcs,
+    /// and returns the state at `to_row`.
+    fn walk(
+        &self,
+        file: &File,
+        from: Checkpoint,
+        (to_row, arc_end): (usize, usize),
+        weights: bool,
+        mut at_row: impl FnMut(Checkpoint),
+        mut emit: impl FnMut(ShardTriple),
+    ) -> Result<Checkpoint, crate::io::BinaryError> {
+        let (n, arcs) = (self.num_vertices, self.arcs);
+        let arc_words = arc_end - from.arc;
+        let mut rows = Words::new(file, self.row_at(from.row), to_row - from.row + 1);
+        let mut adj = Words::new(file, self.adj_at(from.arc), arc_words);
+        let mut wts = weights.then(|| Words::new(file, self.wts_at(from.arc), arc_words));
+
+        let first = rows.next()? as usize;
+        if first != from.arc {
+            return Err(
+                format!("row_starts[{}] = {first}, expected {}", from.row, from.arc).into(),
+            );
+        }
+        let mut at = from;
+        for u in from.row..to_row {
+            at_row(at);
+            let row_end = rows.next()? as usize;
+            if row_end < at.arc || row_end > arcs {
                 return Err(format!(
                     "row_starts not monotone within bounds at vertex {u}: \
-                     {row_end_prev} -> {row_end} (arcs {arcs})"
+                     {} -> {row_end} (arcs {arcs})",
+                    at.arc
                 )
                 .into());
             }
-            for _ in row_end_prev..row_end {
-                let v = read_u32(&mut adj)?;
-                let w = read_u32(&mut wts)?;
+            for _ in at.arc..row_end {
+                let v = adj.next()?;
+                let w = match wts.as_mut() {
+                    Some(wts) => wts.next()?,
+                    None => 0,
+                };
                 if v as usize >= n {
                     return Err(format!("adjacency target {v} out of range (n {n})").into());
                 }
                 if (u as u32) < v {
-                    if (emitted / EMIT_CHUNK) % of == k {
-                        emit((u as u32, v, w));
-                    }
-                    emitted += 1;
+                    emit((u as u32, v, w));
+                    at.emitted += 1;
                 }
             }
-            row_end_prev = row_end;
+            at.row = u + 1;
+            at.arc = row_end;
         }
-        if row_end_prev as usize != arcs {
-            return Err(
-                format!("row_starts ends at {row_end_prev}, expected arc count {arcs}").into(),
-            );
+        Ok(at)
+    }
+
+    /// Reads the rows between two checkpoints, re-checking the file
+    /// against what `open` recorded.
+    fn read_range(
+        &self,
+        from: Checkpoint,
+        to: Checkpoint,
+        emit: impl FnMut(ShardTriple),
+    ) -> Result<(), crate::io::BinaryError> {
+        let file = self.open_file()?;
+        self.check_len(&file)?;
+        let end = self.walk(&file, from, (to.row, to.arc), true, |_| {}, emit)?;
+        if end != to {
+            return Err(format!(
+                "rows {}..{} end at arc {} with {} emissions, recorded arc {} with {}",
+                from.row, to.row, end.arc, end.emitted, to.arc, to.emitted
+            )
+            .into());
         }
-        Ok(emitted)
+        Ok(())
     }
 }
 
@@ -276,22 +369,96 @@ impl EdgeShards for BinaryFileShards {
 
     fn shard(&self, k: usize, of: usize) -> Vec<ShardTriple> {
         check_shard_index(k, of);
-        let mut out = Vec::new();
-        self.stream(k, of, |t| out.push(t))
+        let (from, to) = (self.boundary(k, of), self.boundary(k + 1, of));
+        let mut out = Vec::with_capacity(to.emitted - from.emitted);
+        self.read_range(from, to, |t| out.push(t))
             .expect("validated at open; file changed underneath the shard stream");
         out
     }
 
     fn approx_edges(&self) -> usize {
-        self.emissions
+        self.end().emitted
     }
 }
 
-fn read_u32(r: &mut BufReader<File>) -> Result<u32, crate::io::BinaryError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)
-        .map_err(|e| crate::io::BinaryError::Format(format!("short read: {e}")))?;
-    Ok(u32::from_le_bytes(buf))
+/// Reads and checks the 16-byte header: magic, version, arc-count parity.
+fn read_header(mut file: &File, path: &Path) -> Result<(usize, usize), crate::io::BinaryError> {
+    let mut header = [0u8; 16];
+    file.read_exact(&mut header)
+        .map_err(|e| format!("short read of the header of {}: {e}", path.display()))?;
+    let word = |i: usize| u32::from_le_bytes(header[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+    let (magic, version) = (word(0), word(1));
+    if magic != MAGIC {
+        return Err(format!("bad magic {magic:#x}, expected {MAGIC:#x}").into());
+    }
+    if version != crate::io::VERSION {
+        return Err(format!("unsupported version {version}").into());
+    }
+    let (n, arcs) = (word(2), word(3));
+    if !arcs.is_multiple_of(2) {
+        return Err(format!(
+            "header arc count {arcs} is odd (undirected graphs store mirror arc pairs)"
+        )
+        .into());
+    }
+    Ok((n as usize, arcs as usize))
+}
+
+/// Little-endian `u32` words from one slice of a file, read in blocks of
+/// [`BLOCK_WORDS`] and never past the slice's end.
+struct Words<'f> {
+    file: &'f File,
+    /// Byte offset of the next unread block.
+    pos: u64,
+    /// Words of the slice not yet read from the file.
+    left: usize,
+    bytes: Vec<u8>,
+    block: Vec<u32>,
+    next: usize,
+}
+
+impl<'f> Words<'f> {
+    fn new(file: &'f File, pos: u64, words: usize) -> Self {
+        Self {
+            file,
+            pos,
+            left: words,
+            bytes: Vec::new(),
+            block: Vec::new(),
+            next: 0,
+        }
+    }
+
+    fn next(&mut self) -> Result<u32, crate::io::BinaryError> {
+        if self.next == self.block.len() {
+            self.refill()?;
+        }
+        let w = self.block[self.next];
+        self.next += 1;
+        Ok(w)
+    }
+
+    fn refill(&mut self) -> Result<(), crate::io::BinaryError> {
+        let take = self.left.min(BLOCK_WORDS);
+        if take == 0 {
+            return Err("read past the end of the shard's range".to_string().into());
+        }
+        self.bytes.resize(4 * take, 0);
+        let mut file = self.file;
+        file.seek(SeekFrom::Start(self.pos))
+            .and_then(|_| file.read_exact(&mut self.bytes))
+            .map_err(|e| crate::io::BinaryError::Format(format!("short read: {e}")))?;
+        self.block.clear();
+        self.block.extend(
+            self.bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
+        self.pos += 4 * take as u64;
+        self.left -= take;
+        self.next = 0;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -350,13 +517,20 @@ mod tests {
         assert_eq!(full, src.shard(0, 1).len());
     }
 
+    /// Writes `g` to a file in a temp dir of its own (tests run in
+    /// parallel) and returns the dir and the file.
+    fn write_temp(g: &crate::CsrGraph, test: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ecl-shard-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.bin");
+        crate::io::write_binary(g, &path).unwrap();
+        (dir, path)
+    }
+
     #[test]
     fn file_shards_roundtrip_and_validate() {
         let g = uniform_random(600, 8.0, 13);
-        let dir = std::env::temp_dir().join(format!("ecl-shard-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
-        crate::io::write_binary(&g, &path).unwrap();
+        let (dir, path) = write_temp(&g, "roundtrip");
 
         let src = BinaryFileShards::open(&path).unwrap();
         assert_eq!(src.num_vertices(), 600);
@@ -376,6 +550,81 @@ mod tests {
         assert!(BinaryFileShards::open(&dir.join("badarcs.bin")).is_err());
         std::fs::write(dir.join("trunc.bin"), &bytes[..bytes.len() / 2]).unwrap();
         assert!(BinaryFileShards::open(&dir.join("trunc.bin")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_shards_are_balanced_row_ranges() {
+        // Three full checkpoint strides plus a partial one.
+        let g = uniform_random(3 * CHECKPOINT_ROWS + 1000, 6.0, 21);
+        let (dir, path) = write_temp(&g, "ranges");
+        let src = BinaryFileShards::open(&path).unwrap();
+        let checkpoints = src.checkpoints.len();
+        assert_eq!(checkpoints, 5, "rows 0, 1, 2 and 3 strides, plus the end");
+        let window = src
+            .checkpoints
+            .windows(2)
+            .map(|w| w[1].emitted - w[0].emitted)
+            .max()
+            .unwrap();
+        let total = src.approx_edges();
+        for of in [1, 2, 3, 8, 64] {
+            union_rebuilds(&src, of, &g);
+            let lens: Vec<usize> = (0..of).map(|k| src.shard(k, of).len()).collect();
+            for (k, len) in lens.iter().enumerate() {
+                assert!(
+                    len.abs_diff(total / of) <= window,
+                    "K={of}: shard {k} holds {len} of {total} emissions (window {window})"
+                );
+            }
+            if of > checkpoints {
+                assert!(lens.contains(&0), "K={of} must leave some shards empty");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `f` must panic with the file-changed message rather than return.
+    fn assert_file_changed(f: impl FnOnce() -> Vec<ShardTriple>) {
+        let err = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(edges) => panic!("a shard of a changed file returned {} edges", edges.len()),
+            Err(err) => err,
+        };
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("file changed underneath"), "{msg}");
+    }
+
+    #[test]
+    fn file_shards_detect_a_changed_file() {
+        let g = uniform_random(3 * CHECKPOINT_ROWS + 1000, 6.0, 22);
+        let (dir, path) = write_temp(&g, "changed");
+        let src = BinaryFileShards::open(&path).unwrap();
+        let (from, to) = (src.boundary(1, 3), src.boundary(2, 3));
+        assert!(from.row + 1 < to.row, "shard 1 spans several rows");
+        let pristine = std::fs::read(&path).unwrap();
+        let patch_row_start = |row: usize, value: u32| {
+            let mut bytes = pristine.clone();
+            bytes[16 + 4 * row..][..4].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+        };
+
+        // Shard 1's first row start, moved by one arc: only the offset
+        // recorded at open can tell.
+        patch_row_start(from.row, from.arc as u32 + 1);
+        assert_file_changed(|| src.shard(1, 3));
+        // Its last row start, moved back by one arc: the range would end
+        // one arc early.
+        patch_row_start(to.row, to.arc as u32 - 1);
+        assert_file_changed(|| src.shard(1, 3));
+        // A row start inside the range, past the arc count.
+        patch_row_start((from.row + to.row) / 2, u32::MAX);
+        assert_file_changed(|| src.shard(1, 3));
+        // One word short: shard 1's own slices are intact.
+        std::fs::write(&path, &pristine[..pristine.len() - 4]).unwrap();
+        assert_file_changed(|| src.shard(1, 3));
+
+        std::fs::write(&path, &pristine).unwrap();
+        union_rebuilds(&src, 3, &g);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -63,6 +63,6 @@ pub mod prelude {
     };
     pub use ecl_mst::{
         deopt_ladder, ecl_mst_cpu, ecl_mst_cpu_with, ecl_mst_gpu, ecl_mst_gpu_with, serial_kruskal,
-        sharded_msf, verify_msf, MstError, MstResult, OptConfig, ShardBackend, ShardedConfig,
+        sharded_msf, verify_msf, MstError, MstResult, OptConfig, ShardedConfig,
     };
 }

@@ -1,10 +1,10 @@
 //! Shard-merge parity: the sharded out-of-core pipeline must be
 //! bit-identical to the monolithic `GraphBuilder + serial_kruskal` build on
-//! every topology the suite knows, under both stage-1 backends, including
-//! the degenerate shard counts — K = 1 (no merging at all), K far above
-//! the component and edge counts (many empty shards), and the
-//! all-edges-survive worst case where stage 1 discards nothing and the
-//! merge tree carries every input edge.
+//! every topology the suite knows, from in-memory, generator and file
+//! shard sources, including the degenerate shard counts — K = 1 (no
+//! merging at all), K far above the component and edge counts (many empty
+//! shards), and the all-edges-survive worst case where stage 1 discards
+//! nothing and the merge tree carries every input edge.
 //!
 //! The packed `(weight, u, v)` total order makes the MSF unique, so
 //! equality of `in_mst` bitmaps is exact, not modulo tie-breaks.
@@ -18,26 +18,18 @@ fn assert_parity(name: &str, g: &CsrGraph, cfg: &ShardedConfig) {
     let got = run.forest.to_mst_result(g);
     assert_eq!(
         got.in_mst, expected.in_mst,
-        "{name}: sharded forest diverges (shards={}, backend={:?})",
-        cfg.shards, cfg.backend
+        "{name}: sharded forest diverges (shards={})",
+        cfg.shards
     );
     assert_eq!(run.forest.total_weight, expected.total_weight, "{name}");
     assert_eq!(run.forest.num_edges(), expected.num_edges, "{name}");
     verify_msf(g, &got).unwrap_or_else(|e| panic!("{name}: {e}"));
 }
 
-fn with_backend(shards: usize, backend: ShardBackend) -> ShardedConfig {
-    let mut cfg = ShardedConfig::in_memory(shards);
-    cfg.backend = backend;
-    cfg
-}
-
 #[test]
-fn entire_tiny_suite_bit_identical_under_both_backends() {
+fn entire_tiny_suite_bit_identical() {
     for e in suite::suite(SuiteScale::Tiny) {
-        for backend in [ShardBackend::EclCpu, ShardBackend::Kruskal] {
-            assert_parity(e.name, &e.graph, &with_backend(5, backend));
-        }
+        assert_parity(e.name, &e.graph, &ShardedConfig::in_memory(5));
     }
 }
 
@@ -45,7 +37,7 @@ fn entire_tiny_suite_bit_identical_under_both_backends() {
 fn single_shard_is_the_identity_decomposition() {
     // K = 1: stage 1 solves everything, the merge loop never runs.
     for e in suite::suite(SuiteScale::Tiny) {
-        assert_parity(e.name, &e.graph, &with_backend(1, ShardBackend::Kruskal));
+        assert_parity(e.name, &e.graph, &ShardedConfig::in_memory(1));
     }
 }
 
@@ -59,9 +51,7 @@ fn shard_count_beyond_components_and_edges() {
         .into_iter()
         .filter(|e| picks.contains(&e.name))
     {
-        for backend in [ShardBackend::EclCpu, ShardBackend::Kruskal] {
-            assert_parity(e.name, &e.graph, &with_backend(64, backend));
-        }
+        assert_parity(e.name, &e.graph, &ShardedConfig::in_memory(64));
     }
 }
 
@@ -78,9 +68,7 @@ fn all_edges_survive_worst_case() {
     }
     let g = b.build();
     for shards in [1, 3, 64] {
-        for backend in [ShardBackend::EclCpu, ShardBackend::Kruskal] {
-            assert_parity("path", &g, &with_backend(shards, backend));
-        }
+        assert_parity("path", &g, &ShardedConfig::in_memory(shards));
     }
 }
 
@@ -96,4 +84,40 @@ fn small_scale_generator_spot_check() {
     let expected = serial_kruskal(&g);
     assert_eq!(run.forest.to_mst_result(&g).in_mst, expected.in_mst);
     assert_eq!(run.forest.total_weight, expected.total_weight);
+}
+
+#[test]
+fn file_backed_spilling_pipeline_matches_kruskal_at_any_thread_count() {
+    // The Small r4 twin written to disk and solved out of core, the path
+    // the repository benchmark measures. Stage 1 has no thread-count fork,
+    // so a run pinned to one thread must agree with the unpinned run on
+    // every observable, not only the forest.
+    use ecl_mst_repro::graph::{io::write_binary, par::with_serial_input, BinaryFileShards};
+    let g = ecl_mst_repro::graph::suite::r4_monolith(SuiteScale::Small);
+    let expected = serial_kruskal(&g);
+    let dir = std::env::temp_dir().join(format!("ecl-sharded-file-parity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("r4.eclg");
+    write_binary(&g, &path).unwrap();
+    let src = BinaryFileShards::open(&path).unwrap();
+    let spill = dir.join("spill");
+    for shards in [1, 8, 64] {
+        let cfg = ShardedConfig::spilling(shards, &spill);
+        let run = sharded_msf(&src, &cfg);
+        assert_eq!(
+            run.forest.to_mst_result(&g).in_mst,
+            expected.in_mst,
+            "file source diverges at K={shards}"
+        );
+        assert_eq!(run.forest.total_weight, expected.total_weight);
+        let leftovers = std::fs::read_dir(&spill).unwrap().count();
+        assert_eq!(leftovers, 0, "spill files left behind at K={shards}");
+
+        let pinned = with_serial_input(|| sharded_msf(&src, &cfg));
+        assert_eq!(pinned.forest, run.forest, "K={shards}");
+        assert_eq!(pinned.survivor_edges, run.survivor_edges, "K={shards}");
+        assert_eq!(pinned.merge_rounds, run.merge_rounds, "K={shards}");
+        assert_eq!(pinned.spill_bytes, run.spill_bytes, "K={shards}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
