@@ -18,7 +18,6 @@
 //! | (classic) | [`qkruskal`] | Brennan's partial-sorting Kruskal |
 //! | PBBS CPU | [`pbbs_parallel`] | sample-sort prefix + deterministic reservations |
 //! | Lonestar CPU | [`lonestar_cpu`] | component-loop Borůvka over a disjoint set |
-//! | Setia et al. (HiPC'09) | [`setia_prim`] | collision-merging parallel Prim (round-based) |
 //! | UMinho CPU | [`uminho_cpu`] | contraction Borůvka (supervertices, rebuilt edge list) |
 //! | UMinho GPU | [`uminho_gpu`] | same, as simulated kernels |
 //! | Jucele GPU | [`jucele_gpu`] | vertex-centric data-driven Borůvka, MST-only |
@@ -35,7 +34,6 @@ pub mod jucele;
 pub mod lonestar;
 pub mod pbbs;
 pub mod serial;
-pub mod setia;
 pub mod uminho;
 
 pub use cugraph::cugraph_gpu;
@@ -45,7 +43,6 @@ pub use jucele::jucele_gpu;
 pub use lonestar::lonestar_cpu;
 pub use pbbs::{pbbs_parallel, pbbs_serial};
 pub use serial::serial_prim;
-pub use setia::setia_prim;
 pub use uminho::{uminho_cpu, uminho_gpu};
 
 /// Memoized "is this graph a single connected component?" check.

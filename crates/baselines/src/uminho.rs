@@ -7,13 +7,18 @@
 //! the picks in the MST, propagate colors to the pick-roots, renumber the
 //! supervertices, and **rebuild the whole edge list** — the per-round
 //! reconstruction cost ECL-MST avoids by never creating new graphs.
+//!
+//! The host version ([`uminho_cpu`]) runs each round as fused serial loops:
+//! the vendored rayon shim runs `par_iter` on one thread, and the original's
+//! one-pass-per-step shape took about 1.3× as long on the Medium suite for
+//! the same forests. [`uminho_gpu`] keeps the original's data-parallel
+//! kernels on the simulator.
 
 use crate::GpuBaselineRun;
 use ecl_gpu_sim::{sanitize, with_scratch, ConstBuf, Device, GpuProfile};
 use ecl_graph::CsrGraph;
 use ecl_mst::{pack, unpack, DeviceCsr, MstResult, EMPTY};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Contracted-graph edge: current endpoints, weight, original edge id.
@@ -40,98 +45,86 @@ fn initial_edges(g: &CsrGraph) -> Vec<CEdge> {
 /// initial vertex count and reused by every (shrinking) contraction round —
 /// the CPU-code analogue of the device arena's zero steady-state allocation.
 struct RoundScratch {
-    min_at: Vec<AtomicU64>,
-    succ: Vec<AtomicU32>,
+    min_at: Vec<u64>,
+    succ: Vec<u32>,
     color: Vec<u32>,
-    next_color: Vec<u32>,
     new_id: Vec<u32>,
 }
 
 impl RoundScratch {
     fn new(n: usize) -> Self {
         Self {
-            min_at: (0..n).map(|_| AtomicU64::new(EMPTY)).collect(),
-            succ: (0..n).map(|i| AtomicU32::new(i as u32)).collect(),
+            min_at: vec![EMPTY; n],
+            succ: vec![0; n],
             color: vec![0; n],
-            next_color: vec![0; n],
             new_id: vec![u32::MAX; n],
         }
     }
 }
 
-/// Serial specialization of [`contract_round`], dispatched when the ambient
-/// rayon pool has a single thread (the common wall-clock bench shape): the
-/// same seven steps, but fused into plain indexed loops with unsynchronized
-/// accesses, and the Jacobi pointer-jump sweeps replaced by a direct
-/// root-chase with path compression — per vertex, the chase reaches exactly
-/// the pseudo-tree root the sweeps converge every color to, so the resulting
-/// `color` array (and therefore the contraction) is bit-identical.
-fn contract_round_serial(
+/// One contraction round on the host (the CPU baseline): the original
+/// code's seven data-parallel passes, fused into plain indexed loops.
+/// Colors propagate by a direct root-chase with path compression, which
+/// reaches exactly the pseudo-tree root that pointer-jumping sweeps
+/// converge to. Returns the contracted edge list and new vertex count;
+/// marks picked edges in `in_mst`.
+fn contract_round(
     n: usize,
     edges: &[CEdge],
-    in_mst: &[AtomicBool],
+    in_mst: &mut [bool],
     scratch: &mut RoundScratch,
 ) -> (Vec<CEdge>, usize) {
     // 1. Minimum packed value per vertex.
-    for a in scratch.min_at[..n].iter_mut() {
-        *a.get_mut() = EMPTY;
-    }
+    let min_at = &mut scratch.min_at[..n];
+    min_at.fill(EMPTY);
     for e in edges {
         let val = pack(e.w, e.id);
-        let mu = scratch.min_at[e.u as usize].get_mut();
-        if val < *mu {
-            *mu = val;
-        }
-        let mv = scratch.min_at[e.v as usize].get_mut();
-        if val < *mv {
-            *mv = val;
-        }
+        min_at[e.u as usize] = min_at[e.u as usize].min(val);
+        min_at[e.v as usize] = min_at[e.v as usize].min(val);
     }
     // 2 + 3. Winning edge per vertex: record the successor and mark the
-    // pick in the MST — one fused pass instead of two.
-    for (i, s) in scratch.succ[..n].iter_mut().enumerate() {
-        *s.get_mut() = i as u32;
+    // pick in the MST (every pick is an MST edge, by Borůvka).
+    let succ = &mut scratch.succ[..n];
+    for (i, s) in succ.iter_mut().enumerate() {
+        *s = i as u32;
     }
     for e in edges {
         let val = pack(e.w, e.id);
-        let wins_u = *scratch.min_at[e.u as usize].get_mut() == val;
-        let wins_v = *scratch.min_at[e.v as usize].get_mut() == val;
+        let wins_u = min_at[e.u as usize] == val;
+        let wins_v = min_at[e.v as usize] == val;
         if wins_u {
-            *scratch.succ[e.u as usize].get_mut() = e.v;
+            succ[e.u as usize] = e.v;
         }
         if wins_v {
-            *scratch.succ[e.v as usize].get_mut() = e.u;
+            succ[e.v as usize] = e.u;
         }
         if wins_u || wins_v {
-            in_mst[e.id as usize].store(true, Ordering::Relaxed);
+            in_mst[e.id as usize] = true;
         }
     }
-    // 4. Break mirrored picks (smaller index of a mutual pair is the root).
+    // 4. Break mirrored picks: when u and v choose each other, the smaller
+    // index becomes the root of the merged star.
+    let color = &mut scratch.color[..n];
     for i in 0..n {
         let v = i as u32;
-        let s = *scratch.succ[i].get_mut();
-        scratch.color[i] = if *scratch.succ[s as usize].get_mut() == v && v < s {
-            v
-        } else {
-            s
-        };
+        let s = succ[i];
+        color[i] = if succ[s as usize] == v && v < s { v } else { s };
     }
     // 5. Color propagation: chase each vertex to its pseudo-tree root and
     // compress the visited path (mirror-break guarantees every chain ends
     // at a self-colored root, so the chase terminates).
     for v in 0..n as u32 {
         let mut r = v;
-        while scratch.color[r as usize] != r {
-            r = scratch.color[r as usize];
+        while color[r as usize] != r {
+            r = color[r as usize];
         }
         let mut c = v;
-        while scratch.color[c as usize] != r {
-            let next = scratch.color[c as usize];
-            scratch.color[c as usize] = r;
+        while color[c as usize] != r {
+            let next = color[c as usize];
+            color[c as usize] = r;
             c = next;
         }
     }
-    let color = &scratch.color[..n];
     // 6. Renumber roots densely.
     let new_id = &mut scratch.new_id[..n];
     let mut k = 0u32;
@@ -143,9 +136,7 @@ fn contract_round_serial(
             u32::MAX
         };
     }
-    // 7. Rebuild the edge list for the contracted graph (same order as the
-    // parallel filter_map, which is index-preserving).
-    let new_id = &scratch.new_id[..n];
+    // 7. Rebuild the edge list for the contracted graph, in edge order.
     let mut next_edges = Vec::new();
     for e in edges {
         let cu = new_id[color[e.u as usize] as usize];
@@ -162,144 +153,19 @@ fn contract_round_serial(
     (next_edges, k as usize)
 }
 
-/// One contraction round on the host (the CPU baseline). Returns the
-/// contracted edge list and new vertex count; marks picked edges in
-/// `in_mst` (atomic: the pick pass writes concurrently). Dispatches to the
-/// fused serial specialization when the thread budget is one.
-fn contract_round(
-    n: usize,
-    edges: &[CEdge],
-    in_mst: &[AtomicBool],
-    scratch: &mut RoundScratch,
-) -> (Vec<CEdge>, usize) {
-    // The serial specialization is parity-tested bit-identical to the
-    // parallel round, so the thread budget picks an implementation, never
-    // a result.
-    // ecl-lint: allow(thread-count-dependence) dispatch only (see above)
-    if rayon::current_num_threads() == 1 {
-        contract_round_serial(n, edges, in_mst, scratch)
-    } else {
-        contract_round_parallel(n, edges, in_mst, scratch)
-    }
-}
-
-/// Data-parallel contraction round (the shape the original UMinho code has;
-/// every pass is a `par_iter` over vertices or edges).
-fn contract_round_parallel(
-    n: usize,
-    edges: &[CEdge],
-    in_mst: &[AtomicBool],
-    scratch: &mut RoundScratch,
-) -> (Vec<CEdge>, usize) {
-    // 1. Minimum packed value per vertex.
-    let min_at = &scratch.min_at[..n];
-    min_at
-        .par_iter()
-        .for_each(|a| a.store(EMPTY, Ordering::Relaxed));
-    edges.par_iter().for_each(|e| {
-        let val = pack(e.w, e.id);
-        min_at[e.u as usize].fetch_min(val, Ordering::AcqRel);
-        min_at[e.v as usize].fetch_min(val, Ordering::AcqRel);
-    });
-    // 2. Identify the winning edge per vertex and record the successor.
-    let succ = &scratch.succ[..n];
-    succ.par_iter()
-        .enumerate()
-        .for_each(|(i, s)| s.store(i as u32, Ordering::Relaxed));
-    edges.par_iter().for_each(|e| {
-        let val = pack(e.w, e.id);
-        if min_at[e.u as usize].load(Ordering::Acquire) == val {
-            succ[e.u as usize].store(e.v, Ordering::Release);
-        }
-        if min_at[e.v as usize].load(Ordering::Acquire) == val {
-            succ[e.v as usize].store(e.u, Ordering::Release);
-        }
-        // 3. Every pick is an MST edge (Borůvka), marked by original id.
-        if min_at[e.u as usize].load(Ordering::Acquire) == val
-            || min_at[e.v as usize].load(Ordering::Acquire) == val
-        {
-            in_mst[e.id as usize].store(true, Ordering::Release);
-        }
-    });
-    // 4. Break mirrored picks: when u and v choose each other, the smaller
-    // index becomes the root of the merged star.
-    scratch.color[..n]
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, c)| {
-            let v = i as u32;
-            let s = succ[i].load(Ordering::Acquire);
-            *c = if succ[s as usize].load(Ordering::Acquire) == v && v < s {
-                v
-            } else {
-                s
-            };
-        });
-    // 5. Color propagation: pointer-jump to the roots (Jacobi-style double
-    // buffer: each sweep reads only the previous sweep's colors).
-    loop {
-        let changed = AtomicBool::new(false);
-        let color = &scratch.color[..n];
-        scratch.next_color[..n]
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(v, slot)| {
-                let c = color[v];
-                let cc = color[c as usize];
-                if cc != c {
-                    changed.store(true, Ordering::Relaxed);
-                }
-                *slot = cc;
-            });
-        std::mem::swap(&mut scratch.color, &mut scratch.next_color);
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-    let color = &scratch.color[..n];
-    // 6. Renumber roots densely.
-    let new_id = &mut scratch.new_id[..n];
-    let mut k = 0u32;
-    for v in 0..n {
-        new_id[v] = if color[v] == v as u32 {
-            k += 1;
-            k - 1
-        } else {
-            u32::MAX
-        };
-    }
-    // 7. Rebuild the edge list for the contracted graph.
-    let new_id = &scratch.new_id[..n];
-    let next_edges: Vec<CEdge> = edges
-        .par_iter()
-        .filter_map(|e| {
-            let cu = new_id[color[e.u as usize] as usize];
-            let cv = new_id[color[e.v as usize] as usize];
-            (cu != cv).then_some(CEdge {
-                u: cu,
-                v: cv,
-                w: e.w,
-                id: e.id,
-            })
-        })
-        .collect();
-    (next_edges, k as usize)
-}
-
-/// CPU-parallel contraction Borůvka (the paper's "UMinho CPU" column).
+/// Contraction Borůvka on the host (the paper's "UMinho CPU" column).
 pub fn uminho_cpu(g: &CsrGraph) -> MstResult {
     let _r = ecl_trace::range!(wall: "uminho_cpu");
-    let in_mst: Vec<AtomicBool> = (0..g.num_edges()).map(|_| AtomicBool::new(false)).collect();
+    let mut in_mst = vec![false; g.num_edges()];
     let mut edges = initial_edges(g);
     let mut n = g.num_vertices();
     let mut scratch = RoundScratch::new(n);
     while !edges.is_empty() {
-        let (next, k) = contract_round(n, &edges, &in_mst, &mut scratch);
+        let (next, k) = contract_round(n, &edges, &mut in_mst, &mut scratch);
         edges = next;
         n = k;
     }
-    let bitmap: Vec<bool> = in_mst.iter().map(|b| b.load(Ordering::Acquire)).collect();
-    MstResult::from_bitmap(g, bitmap)
+    MstResult::from_bitmap(g, in_mst)
 }
 
 /// Simulated-GPU contraction Borůvka (the paper's "UMinho GPU" column).
@@ -586,36 +452,15 @@ mod tests {
         check_cpu(&GraphBuilder::new(4).build());
     }
 
-    type RoundFn = fn(usize, &[CEdge], &[AtomicBool], &mut RoundScratch) -> (Vec<CEdge>, usize);
-
-    /// Runs the full contraction loop with a forced round implementation.
-    fn solve_with(g: &CsrGraph, round: RoundFn) -> Vec<bool> {
-        let in_mst: Vec<AtomicBool> = (0..g.num_edges()).map(|_| AtomicBool::new(false)).collect();
-        let mut edges = initial_edges(g);
-        let mut n = g.num_vertices();
-        let mut scratch = RoundScratch::new(n);
-        while !edges.is_empty() {
-            let (next, k) = round(n, &edges, &in_mst, &mut scratch);
-            edges = next;
-            n = k;
-        }
-        in_mst.iter().map(|b| b.load(Ordering::Acquire)).collect()
-    }
-
     #[test]
-    fn serial_round_matches_parallel_round() {
-        // The fused serial specialization must be bit-identical to the
-        // data-parallel round, whichever one `contract_round` dispatches to.
+    fn contraction_rounds_match_serial_kruskal() {
         for g in [
             preferential_attachment(500, 5, 1, 9),
             rmat(8, 4, 6),
             grid2d(9, 3),
             GraphBuilder::new(0).build(),
         ] {
-            let ser = solve_with(&g, contract_round_serial);
-            let par = solve_with(&g, contract_round_parallel);
-            assert_eq!(ser, par, "round implementations diverge");
-            assert_eq!(ser, serial_kruskal(&g).in_mst, "reference MSF");
+            check_cpu(&g);
         }
     }
 

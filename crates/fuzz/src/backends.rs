@@ -8,7 +8,7 @@
 
 use ecl_baselines::{
     cugraph_gpu, filter_kruskal, gunrock_gpu, jucele_gpu, lonestar_cpu, pbbs_parallel, pbbs_serial,
-    serial_prim, setia_prim, uminho_cpu, uminho_gpu,
+    serial_prim, uminho_cpu, uminho_gpu,
 };
 use ecl_gpu_sim::GpuProfile;
 use ecl_graph::CsrGraph;
@@ -105,9 +105,6 @@ pub fn registry() -> Vec<Backend> {
     v.push(Backend::msf("baseline/pbbs_parallel", pbbs_parallel));
     v.push(Backend::msf("baseline/lonestar", lonestar_cpu));
     v.push(Backend::msf("baseline/uminho_cpu", uminho_cpu));
-    v.push(Backend::msf("baseline/setia_prim", |g| {
-        setia_prim(g, 4, 0xBEEF)
-    }));
     v.push(Backend::msf("baseline/uminho_gpu", |g| {
         uminho_gpu(g, GpuProfile::TITAN_V).result
     }));
@@ -150,9 +147,9 @@ mod tests {
     fn registry_covers_every_code() {
         let reg = registry();
         // 1 reference + 9 CPU rungs + 9 GPU rungs + 1 second profile
-        // + 1 locality-order-off CPU variant + 7 CPU baselines
+        // + 1 locality-order-off CPU variant + 6 CPU baselines
         // + 2 GPU baselines + 2 MST-only codes + 2 sharded pipelines.
-        assert_eq!(reg.len(), 1 + 9 + 9 + 1 + 1 + 7 + 2 + 2 + 2);
+        assert_eq!(reg.len(), 1 + 9 + 9 + 1 + 1 + 6 + 2 + 2 + 2);
         let names: std::collections::HashSet<_> = reg.iter().map(|b| b.name.clone()).collect();
         assert_eq!(names.len(), reg.len(), "backend names must be unique");
         assert_eq!(

@@ -5,9 +5,7 @@
 //! added any missing back edges to make the graphs undirected."
 
 use crate::csr::CsrGraph;
-use crate::par;
 use crate::{VertexId, Weight};
-use rayon::prelude::*;
 
 /// Accumulates undirected weighted edges and produces a clean [`CsrGraph`].
 ///
@@ -109,179 +107,21 @@ impl GraphBuilder {
 
     /// Deduplicates, symmetrizes and converts to CSR.
     ///
-    /// Dispatches to the chunk-parallel path (see DESIGN.md "Deterministic
-    /// parallel construction"): a global arc sort replaces the legacy
-    /// counting sort + per-row fixup, and every stage is cut into
-    /// data-size-keyed chunks executed under [`crate::par`]. The output is
-    /// bit-identical to [`build_serial`](Self::build_serial) — the parity
-    /// test in `tests/build_parity.rs` checks that on every suite topology
-    /// — so on a one-thread pool the cheaper serial path runs instead.
-    pub fn build(self) -> CsrGraph {
-        // On a one-thread pool the chunked stages would run inline anyway,
-        // and the serial path's counting sort beats a comparison sort there
-        // — the outputs are bit-identical (parity-tested), so this is
-        // purely a cost choice.
-        // Both paths are parity-tested bit-identical, so the thread budget
-        // picks an implementation, never a result.
+    /// One sort of the normalized triples puts each parallel run's lightest
+    /// copy first; dedup keeps it; a counting sort by source then places
+    /// both arcs of every surviving edge. No per-row sort follows, because
+    /// the rows come out ascending already: the deduped list is sorted by
+    /// `(u, v)`, so every edge `(a, s)` with `a < s` precedes every `(s, b)`,
+    /// and the counting sort fills row `s` with its lower neighbours
+    /// ascending, then its higher neighbours ascending. Destinations are
+    /// unique after dedup, so each row strictly ascends.
+    pub fn build(mut self) -> CsrGraph {
         let t0 = ecl_metrics::active().then(|| {
             // ecl-lint: allow(wall-clock-in-sim) host-side build-wall metric, gated on an active session; never feeds simulated numbers
             std::time::Instant::now()
         });
-        // ecl-lint: allow(thread-count-dependence) dispatch only (see above)
-        let g = if crate::par::max_threads() <= 1 {
-            self.build_serial()
-        } else {
-            self.build_chunked()
-        };
-        ecl_metrics::counter!(GRAPH_BUILDS);
-        ecl_metrics::histogram!(GRAPH_BUILD_ARCS, g.num_arcs() as f64);
-        if let Some(t0) = t0 {
-            ecl_metrics::histogram!(GRAPH_BUILD_SECONDS, t0.elapsed().as_secs_f64());
-        }
-        g
-    }
-
-    /// The chunk-parallel CSR assembly behind [`build`](Self::build),
-    /// callable directly so the parity tests exercise it regardless of the
-    /// thread budget.
-    pub fn build_chunked(mut self) -> CsrGraph {
         let n = self.num_vertices;
 
-        // Sort normalized triples so duplicates are adjacent with the
-        // lightest first, then keep the first of each (u, v) run. The
-        // parallel sort of plain integer triples is deterministic: Ord-equal
-        // triples are bit-equal.
-        self.edges.par_sort_unstable();
-        self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-
-        let m = self.edges.len();
-        assert!(
-            2 * m <= u32::MAX as usize,
-            "arc count exceeds 32-bit CSR limit"
-        );
-        let edges = self.edges;
-
-        // The deduped list, sorted by (u, v), is already the forward arc
-        // half: row u's arcs to higher-numbered vertices, destinations
-        // ascending, edge id = list index. The reverse half needs its own
-        // sort by (v, u); carrying (weight, id) makes each record
-        // self-contained. Chunked fill + one parallel sort.
-        let mut rev: Vec<(VertexId, VertexId, Weight, u32)> = vec![(0, 0, 0, 0); m];
-        {
-            let cuts: Vec<usize> = par::chunk_ranges(m, 1 << 17)
-                .iter()
-                .skip(1)
-                .map(|r| r.start)
-                .collect();
-            ecl_metrics::counter!(GRAPH_BUILD_CHUNKS, (cuts.len() + 1) as u64);
-            let edges = &edges;
-            par::par_split_mut(&mut rev, &cuts, |piece_idx, piece| {
-                let base = if piece_idx == 0 {
-                    0
-                } else {
-                    cuts[piece_idx - 1]
-                };
-                for (off, slot) in piece.iter_mut().enumerate() {
-                    let (u, v, w) = edges[base + off];
-                    *slot = (v, u, w, (base + off) as u32);
-                }
-            });
-        }
-        rev.par_sort_unstable();
-
-        // Row offsets. `fwd[k]` counts edges with u < k and `rvs[k]` edges
-        // with v < k, both read off the sorted orders by parallel partition
-        // search; their sum is the exclusive prefix sum of the arc degrees,
-        // i.e. the CSR row starts.
-        let fwd = par::sorted_key_offsets(n, m, |i| edges[i].0);
-        let rvs = par::sorted_key_offsets(n, m, |i| rev[i].0);
-        let row_starts: Vec<u32> = par::run_chunks(n + 1, 1 << 16, |r| {
-            r.map(|k| fwd[k] + rvs[k]).collect::<Vec<u32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-        // Merge the two sorted halves of each row directly into the final
-        // arrays. Destinations within a row are unique after dedup, so the
-        // two-pointer merge on destination alone reproduces the legacy
-        // (dst, weight, id) row sort. Vertex chunks own disjoint arc ranges.
-        let mut adjacency = vec![0 as VertexId; 2 * m];
-        let mut arc_weights = vec![0 as Weight; 2 * m];
-        let mut arc_edge_ids = vec![0u32; 2 * m];
-        {
-            let vertex_chunks = par::chunk_ranges(n, 1 << 15);
-            ecl_metrics::counter!(GRAPH_BUILD_CHUNKS, vertex_chunks.len() as u64);
-            struct MergeTask<'a> {
-                vertices: std::ops::Range<usize>,
-                adj: &'a mut [VertexId],
-                wts: &'a mut [Weight],
-                ids: &'a mut [u32],
-            }
-            let mut tasks: Vec<MergeTask<'_>> = Vec::with_capacity(vertex_chunks.len());
-            let (mut adj_rest, mut wts_rest, mut ids_rest) = (
-                adjacency.as_mut_slice(),
-                arc_weights.as_mut_slice(),
-                arc_edge_ids.as_mut_slice(),
-            );
-            let mut consumed = 0usize;
-            // lint-metering: serial-ok (O(#chunks) slice partitioning, not O(m))
-            for r in vertex_chunks {
-                let hi = row_starts[r.end] as usize;
-                let take = hi - consumed;
-                let (a, ar) = adj_rest.split_at_mut(take);
-                let (w, wr) = wts_rest.split_at_mut(take);
-                let (i, ir) = ids_rest.split_at_mut(take);
-                (adj_rest, wts_rest, ids_rest) = (ar, wr, ir);
-                tasks.push(MergeTask {
-                    vertices: r,
-                    adj: a,
-                    wts: w,
-                    ids: i,
-                });
-                consumed = hi;
-            }
-            let (edges, rev, fwd, rvs, row_starts) = (&edges, &rev, &fwd, &rvs, &row_starts);
-            par::par_tasks(tasks, |task| {
-                let chunk_base = row_starts[task.vertices.start] as usize;
-                for s in task.vertices.clone() {
-                    let mut out = row_starts[s] as usize - chunk_base;
-                    let (mut f, f_end) = (fwd[s] as usize, fwd[s + 1] as usize);
-                    let (mut r, r_end) = (rvs[s] as usize, rvs[s + 1] as usize);
-                    while f < f_end || r < r_end {
-                        let take_fwd = r >= r_end || (f < f_end && edges[f].1 < rev[r].1);
-                        let (dst, w, id) = if take_fwd {
-                            let (_, v, w) = edges[f];
-                            let id = f as u32;
-                            f += 1;
-                            (v, w, id)
-                        } else {
-                            let (_, u, w, id) = rev[r];
-                            r += 1;
-                            (u, w, id)
-                        };
-                        task.adj[out] = dst;
-                        task.wts[out] = w;
-                        task.ids[out] = id;
-                        out += 1;
-                    }
-                }
-            });
-        }
-
-        CsrGraph::from_parts_unchecked(row_starts, adjacency, arc_weights, arc_edge_ids)
-    }
-
-    /// The pre-parallel reference implementation: serial sort, counting sort
-    /// of arcs by source, per-row fixup sort. Kept verbatim as the oracle
-    /// for the `build`/`build_serial` parity test; not used on any hot path
-    /// (`cargo xtask lint-metering` flags serial sorts or `for`-loop hot
-    /// paths that creep back into `build`).
-    pub fn build_serial(mut self) -> CsrGraph {
-        let n = self.num_vertices;
-
-        // Sort normalized triples so duplicates are adjacent with the
-        // lightest first, then keep the first of each (u, v) run.
         self.edges.sort_unstable();
         self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
 
@@ -292,12 +132,11 @@ impl GraphBuilder {
         );
 
         // Counting sort of arcs by source vertex.
-        let mut degree = vec![0u32; n + 1];
+        let mut row_starts = vec![0u32; n + 1];
         for &(u, v, _) in &self.edges {
-            degree[u as usize + 1] += 1;
-            degree[v as usize + 1] += 1;
+            row_starts[u as usize + 1] += 1;
+            row_starts[v as usize + 1] += 1;
         }
-        let mut row_starts = degree;
         for i in 1..row_starts.len() {
             row_starts[i] += row_starts[i - 1];
         }
@@ -316,26 +155,13 @@ impl GraphBuilder {
             }
         }
 
-        // Because the input triples were sorted by (u, v), the arcs emitted
-        // for each source u are already in ascending destination order for
-        // the u < v half; the v > u half interleaves, so sort each row for a
-        // canonical adjacency order (cheap: rows are short on our inputs).
-        let g_rows = row_starts.clone();
-        for v in 0..n {
-            let lo = g_rows[v] as usize;
-            let hi = g_rows[v + 1] as usize;
-            let mut row: Vec<(VertexId, Weight, u32)> = (lo..hi)
-                .map(|a| (adjacency[a], arc_weights[a], arc_edge_ids[a]))
-                .collect();
-            row.sort_unstable();
-            for (off, (d, w, id)) in row.into_iter().enumerate() {
-                adjacency[lo + off] = d;
-                arc_weights[lo + off] = w;
-                arc_edge_ids[lo + off] = id;
-            }
+        let g = CsrGraph::from_parts_unchecked(row_starts, adjacency, arc_weights, arc_edge_ids);
+        ecl_metrics::counter!(GRAPH_BUILDS);
+        ecl_metrics::histogram!(GRAPH_BUILD_ARCS, g.num_arcs() as f64);
+        if let Some(t0) = t0 {
+            ecl_metrics::histogram!(GRAPH_BUILD_SECONDS, t0.elapsed().as_secs_f64());
         }
-
-        CsrGraph::from_parts_unchecked(row_starts, adjacency, arc_weights, arc_edge_ids)
+        g
     }
 }
 
@@ -374,13 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn dedup_keeps_lightest_on_every_build_path() {
+    fn dedup_keeps_lightest_wherever_the_lightest_arrives() {
         // Pins the io_dimacs module-doc promise ("collapse parallels
-        // keeping the lightest"): the tie handling lives in the shared
-        // sort+dedup, but each build path runs its own copy of it, so pin
-        // lightest-wins — not first-wins or last-wins — on all three, with
-        // the lightest duplicate arriving first, last, and mid-run, in
-        // both arc directions.
+        // keeping the lightest"): lightest-wins — not first-wins or
+        // last-wins — with the lightest duplicate arriving first, last, and
+        // mid-run, in both arc directions.
         let edges: &[(VertexId, VertexId, Weight)] = &[
             (0, 1, 4), // lightest first
             (1, 0, 9),
@@ -390,18 +214,9 @@ mod tests {
             (2, 0, 5), // lightest mid-run
             (0, 2, 6),
         ];
-        let make = || {
-            let mut b = GraphBuilder::new(3);
-            b.extend_edges(edges.iter().copied());
-            b
-        };
-        let (g, gs, gc) = (
-            make().build(),
-            make().build_serial(),
-            make().build_chunked(),
-        );
-        assert_eq!(g, gs, "build must agree with build_serial");
-        assert_eq!(g, gc, "build must agree with build_chunked");
+        let mut b = GraphBuilder::new(3);
+        b.extend_edges(edges.iter().copied());
+        let g = b.build();
         let weight_of = |u: VertexId, v: VertexId| {
             g.neighbors(u)
                 .find(|e| e.dst == v)
@@ -426,15 +241,27 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_rows_sorted() {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(2, 4, 1);
-        b.add_edge(2, 0, 1);
-        b.add_edge(2, 3, 1);
-        b.add_edge(2, 1, 1);
+    fn every_row_strictly_ascends() {
+        // `validate` does not check row order, and `build` sorts no row: the
+        // order falls out of the sorted, deduped edge list. Pin it on a dense
+        // multigraph fed in random order, with self-loops, both directions
+        // and repeated pairs.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 40;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..3000 {
+            b.add_edge(
+                rng.gen_range(0..n as VertexId),
+                rng.gen_range(0..n as VertexId),
+                rng.gen_range(0..50),
+            );
+        }
         let g = b.build();
-        let row: Vec<_> = g.neighbors(2).map(|e| e.dst).collect();
-        assert_eq!(row, vec![0, 1, 3, 4]);
+        for v in 0..n as VertexId {
+            let row: Vec<VertexId> = g.neighbors(v).map(|e| e.dst).collect();
+            assert!(row.windows(2).all(|p| p[0] < p[1]), "row {v}: {row:?}");
+        }
         g.validate().unwrap();
     }
 

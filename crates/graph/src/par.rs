@@ -10,9 +10,8 @@
 //!
 //! The thread budget comes from [`rayon::current_num_threads`] (the vendored
 //! shim reads `RAYON_NUM_THREADS`, defaulting to the host parallelism);
-//! [`with_serial_input`] and the `ECL_SERIAL_INPUT` environment variable
-//! force a budget of one so parity tests can compare scheduled-serial
-//! against threaded execution.
+//! [`with_serial_input`] forces a budget of one in a scope so parity tests
+//! can compare scheduled-serial against threaded execution.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -21,16 +20,6 @@ use std::sync::OnceLock;
 
 thread_local! {
     static FORCE_SERIAL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when chunked work must run on the calling thread (scoped
-/// [`with_serial_input`] or ambient `ECL_SERIAL_INPUT=1`).
-pub fn serial_input() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    FORCE_SERIAL.with(Cell::get)
-        || *ENV.get_or_init(|| {
-            std::env::var("ECL_SERIAL_INPUT").is_ok_and(|v| !v.is_empty() && v != "0")
-        })
 }
 
 /// Runs `f` with the parallel helpers pinned to one thread. The chunked
@@ -45,9 +34,10 @@ pub fn with_serial_input<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// Worker-thread budget for the helpers below.
+/// Worker-thread budget for the helpers below: one inside
+/// [`with_serial_input`], else the rayon pool size.
 pub fn max_threads() -> usize {
-    if serial_input() {
+    if FORCE_SERIAL.with(Cell::get) {
         1
     } else {
         rayon::current_num_threads()
@@ -111,78 +101,6 @@ pub fn run_chunks<R: Send + Sync>(
     par_map(&ranges, |_, r| f(r.clone()))
 }
 
-/// Runs `f` once per owned task, distributing tasks round-robin over the
-/// thread budget. For tasks that carry `&mut` slices (disjoint by
-/// construction at the call site) where no result is needed.
-pub fn par_tasks<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
-    let threads = max_threads().min(tasks.len());
-    if threads <= 1 {
-        for task in tasks {
-            f(task);
-        }
-        return;
-    }
-    let mut batches: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (k, task) in tasks.into_iter().enumerate() {
-        batches[k % threads].push(task);
-    }
-    std::thread::scope(|s| {
-        for batch in batches {
-            s.spawn(|| {
-                for task in batch {
-                    f(task);
-                }
-            });
-        }
-    });
-}
-
-/// Splits `data` at the given ascending cut points (relative to the start of
-/// `data`, final implicit cut at `data.len()`) and hands each piece, with its
-/// index, to `f` in parallel.
-pub fn par_split_mut<T: Send>(data: &mut [T], cuts: &[usize], f: impl Fn(usize, &mut [T]) + Sync) {
-    let mut rest = data;
-    let mut prev = 0;
-    let mut tasks: Vec<(usize, &mut [T])> = Vec::with_capacity(cuts.len() + 1);
-    for (i, &c) in cuts.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(c - prev);
-        tasks.push((i, head));
-        rest = tail;
-        prev = c;
-    }
-    tasks.push((cuts.len(), rest));
-    par_tasks(tasks, |(i, piece)| f(i, piece));
-}
-
-/// For `len` records sorted by a `u32` key in `0..n`, returns the `n + 1`
-/// partition offsets: `out[k]` = number of records with key `< k`. This *is*
-/// the exclusive prefix sum of the per-key counts, read off the sorted order
-/// with an embarrassingly parallel binary search per key chunk.
-pub fn sorted_key_offsets(n: usize, len: usize, key_at: impl Fn(usize) -> u32 + Sync) -> Vec<u32> {
-    let chunks = run_chunks(n + 1, 1 << 16, |r| {
-        let mut part = Vec::with_capacity(r.len());
-        for k in r {
-            // partition_point over the record indices for key < k.
-            let (mut lo, mut hi) = (0usize, len);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if (key_at(mid) as usize) < k {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            part.push(u32::try_from(lo).expect("arc count fits u32"));
-        }
-        part
-    });
-    let mut out = Vec::with_capacity(n + 1);
-    for part in chunks {
-        out.extend(part);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,33 +128,5 @@ mod tests {
         let serial = with_serial_input(|| par_map(&items, |i, &x| x * 2 + i as u64));
         assert_eq!(threaded, serial);
         assert_eq!(threaded[500], 1500);
-    }
-
-    #[test]
-    fn par_split_mut_disjoint_pieces() {
-        let mut v = vec![0u32; 100];
-        par_split_mut(&mut v, &[10, 40], |i, piece| {
-            for x in piece.iter_mut() {
-                *x = i as u32 + 1;
-            }
-        });
-        assert!(v[..10].iter().all(|&x| x == 1));
-        assert!(v[10..40].iter().all(|&x| x == 2));
-        assert!(v[40..].iter().all(|&x| x == 3));
-    }
-
-    #[test]
-    fn sorted_key_offsets_match_counting() {
-        let keys: Vec<u32> = vec![0, 0, 1, 3, 3, 3, 7];
-        let n = 9;
-        let offsets = sorted_key_offsets(n, keys.len(), |i| keys[i]);
-        let mut counts = vec![0u32; n + 1];
-        for &k in &keys {
-            counts[k as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            counts[i] += counts[i - 1];
-        }
-        assert_eq!(offsets, counts);
     }
 }

@@ -1,8 +1,8 @@
 //! Golden content hashes pinning generator + builder output byte-for-byte.
 //!
 //! The parallel input pipeline (chunked per-chunk RNG streams in the
-//! generators, the parallel CSR build path) must reproduce the serial
-//! pipeline's output *exactly* — same edge multiset, same weights, same arc
+//! generators, then the CSR build) must reproduce the serial pipeline's
+//! output *exactly* — same edge multiset, same weights, same arc
 //! order, same edge ids. These hashes were captured from the serial
 //! implementation before the parallel refactor; any divergence afterwards is
 //! a determinism bug, not an acceptable drift.

@@ -1,11 +1,21 @@
-//! Fixture: a bare loop and a serial sort on the hot path.
-impl GraphBuilder {
-    pub fn build_chunked(self) -> CsrGraph {
-        let mut edges = self.edges;
-        edges.sort_unstable();
-        for e in &edges {
-            consume(e);
-        }
-        finish(edges)
+//! Fixture: a serial sort and a bare loop on the hot paths.
+fn solve_triples(mut edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    edges.sort_unstable();
+    finish(edges)
+}
+
+fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    finish(edges)
+}
+
+fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
+    let mut out = Vec::new();
+    for e in sorted {
+        out.push(*e);
     }
+    out
+}
+
+fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
+    finish(verts)
 }

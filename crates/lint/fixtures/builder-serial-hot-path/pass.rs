@@ -1,14 +1,25 @@
 //! Fixture: all loops and sorts run inside par:: helper spans.
-impl GraphBuilder {
-    pub fn build_chunked(self) -> CsrGraph {
-        let mut edges = self.edges;
-        let offsets = par::sorted_key_offsets(&mut edges, |e| e.0);
-        par::run_chunks(&offsets, |chunk| {
-            for e in chunk {
-                consume(e);
-            }
-            chunk.par_sort_unstable();
-        });
-        finish(edges, offsets)
-    }
+fn solve_triples(mut edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    edges.par_sort_unstable();
+    let parts = par::run_chunks(edges.len(), 1 << 16, |r| {
+        let mut part = Vec::new();
+        for i in r {
+            part.push(key(edges[i]));
+        }
+        part.sort_unstable();
+        part
+    });
+    finish(parts)
+}
+
+fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    finish(edges)
+}
+
+fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
+    finish(sorted)
+}
+
+fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
+    finish(verts)
 }

@@ -1,13 +1,22 @@
 //! Fixture: the covered loop needs no waiver, so the waiver is an error.
-impl GraphBuilder {
-    pub fn build_chunked(self) -> CsrGraph {
-        let offsets = par::chunk_ranges(self.edges.len());
-        par::run_chunks(&offsets, |chunk| {
-            // ecl-lint: allow(builder-serial-hot-path) covered already
-            for e in chunk {
-                consume(e);
-            }
-        });
-        finish(offsets)
-    }
+fn solve_triples(edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    let parts = par::run_chunks(edges.len(), 1 << 16, |r| {
+        // ecl-lint: allow(builder-serial-hot-path) covered already
+        for i in r {
+            consume(edges[i]);
+        }
+    });
+    finish(parts)
+}
+
+fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
+    finish(edges)
+}
+
+fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
+    finish(sorted)
+}
+
+fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
+    finish(verts)
 }

@@ -1,51 +1,35 @@
 //! Guards the workspace's serial-regression-prone parallel hot paths.
 //!
-//! Inside each registered hot function — and only there; e.g.
-//! `build_serial` stays untouched as the reference oracle — a bare `for`
+//! Inside each registered hot function — and only there — a bare `for`
 //! loop or a serial `.sort_unstable(` outside every parallel-helper call
 //! span would quietly reintroduce a single-thread bottleneck the parallel
 //! version replaced. Deliberate serial steps carry a waiver
 //! (`lint-metering: serial-ok` or `ecl-lint: allow(builder-serial-hot-path)`).
 //!
-//! Registered hot paths:
-//!
-//! * `fn build_chunked` in the graph builder — the chunk-parallel CSR
-//!   construction.
-//! * The sharded MSF module's shard-merge kernels: `solve_triples` (route
-//!   dispatch + total-order sort), `solve_dense` (the packed SWAR filter
-//!   split), `scan_forest` (the greedy DSU scan — serial by nature, carries
-//!   a waiver), and `scatter_table` (the O(nloc) remap fill, waived).
+//! Registered hot paths: the sharded MSF module's shard-merge kernels —
+//! `solve_triples` (route dispatch + total-order sort), `solve_dense` (the
+//! packed SWAR filter split), `scan_forest` (the greedy DSU scan — serial by
+//! nature, carries a waiver), and `scatter_table` (the O(nloc) remap fill,
+//! waived). The name is historical: waivers in the tree spell it.
 
 use crate::{Ctx, Rule, Workspace};
 
-/// The original guarded file, kept as a named constant because the
-/// rule's fixtures synthesize it by this path.
-pub const BUILDER_FILE: &str = "crates/graph/src/builder.rs";
+/// The guarded file.
+const SHARDED_FILE: &str = "crates/core/src/sharded.rs";
 
-/// (file, hot function) pairs under guard — a file may register several. A
-/// file absent from the workspace is skipped silently (fixture workspaces
-/// contain only one of them); a present file missing a registered hot
-/// function is a file-level error — the function was renamed and the guard
-/// must follow it.
-const HOT_FNS: &[(&str, &str)] = &[
-    (BUILDER_FILE, "build_chunked"),
-    ("crates/core/src/sharded.rs", "solve_triples"),
-    ("crates/core/src/sharded.rs", "solve_dense"),
-    ("crates/core/src/sharded.rs", "scan_forest"),
-    ("crates/core/src/sharded.rs", "scatter_table"),
+/// Hot functions under guard in [`SHARDED_FILE`]. If the file is present,
+/// a missing hot function is a file-level error — the function was renamed
+/// and the guard must follow it.
+const HOT_FNS: &[&str] = &[
+    "solve_triples",
+    "solve_dense",
+    "scan_forest",
+    "scatter_table",
 ];
 
 /// Parallel-helper callees; loops and sorts inside their argument spans run
 /// chunked under the pool and are fine.
-const PAR_HELPERS: &[&str] = &[
-    "run_chunks",
-    "par_map",
-    "par_tasks",
-    "par_split_mut",
-    "sorted_key_offsets",
-    "chunk_ranges",
-    "par_sort_unstable",
-];
+const PAR_HELPERS: &[&str] = &["run_chunks", "par_map", "chunk_ranges", "par_sort_unstable"];
 
 pub struct BuilderSerialHotPath;
 
@@ -55,21 +39,16 @@ impl Rule for BuilderSerialHotPath {
     }
     fn description(&self) -> &'static str {
         "no serial `for` loops or `.sort_unstable(` on the registered parallel hot paths \
-         (chunked CSR build, shard-merge kernel) outside the par:: helper spans"
+         (shard-merge kernels) outside the par:: helper spans"
     }
     fn scope(&self) -> &'static [&'static str] {
-        &[BUILDER_FILE, "crates/core/src/sharded.rs"]
+        &[SHARDED_FILE]
     }
 
     fn run(&self, ws: &Workspace, ctx: &mut Ctx) {
         for file in ws.in_scope(self.scope()) {
             let code = &file.sf.code;
-            let hot_fns: Vec<&str> = HOT_FNS
-                .iter()
-                .filter(|(path, _)| file.sf.rel == std::path::Path::new(path))
-                .map(|&(_, f)| f)
-                .collect();
-            for hot_fn in hot_fns {
+            for &hot_fn in HOT_FNS {
                 let Some(f) = file.ix.find_fn(hot_fn) else {
                     ctx.emit_file(
                         self.name(),

@@ -13,7 +13,7 @@ const CASES: &[(&str, &str)] = &[
     ("host-access-in-launch", "crates/core/src/fixture.rs"),
     ("trace-range-in-launch", "crates/core/src/fixture.rs"),
     ("trace-range-balance", "crates/core/src/fixture.rs"),
-    ("builder-serial-hot-path", "crates/graph/src/builder.rs"),
+    ("builder-serial-hot-path", "crates/core/src/sharded.rs"),
     ("swar-chunk-shape", "crates/graph/src/simd.rs"),
     ("hash-iteration-order", "crates/core/src/fixture.rs"),
     ("thread-count-dependence", "crates/core/src/fixture.rs"),

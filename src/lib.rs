@@ -52,7 +52,7 @@ pub use ecl_trace as trace;
 pub mod prelude {
     pub use ecl_baselines::{
         cugraph_gpu, filter_kruskal, gunrock_gpu, jucele_gpu, lonestar_cpu, pbbs_parallel,
-        pbbs_serial, serial_prim, setia_prim, uminho_cpu, uminho_gpu, GpuBaselineRun,
+        pbbs_serial, serial_prim, uminho_cpu, uminho_gpu, GpuBaselineRun,
     };
     pub use ecl_cc::{connected_components_gpu, CcRun};
     pub use ecl_dsu::{AtomicDsu, Compression, FindPolicy, SeqDsu, UnionPolicy};

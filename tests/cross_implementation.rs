@@ -63,7 +63,6 @@ fn cpu_baselines_match_on_entire_suite() {
             ("pbbs_parallel", pbbs_parallel(&e.graph)),
             ("lonestar_cpu", lonestar_cpu(&e.graph)),
             ("uminho_cpu", uminho_cpu(&e.graph)),
-            ("setia_prim", setia_prim(&e.graph, 8, 7)),
         ] {
             assert_eq!(result.in_mst, expected.in_mst, "{} / {name}", e.name);
         }

@@ -16,7 +16,6 @@ fn all_agree(g: &CsrGraph, label: &str) {
         ("pbbs_parallel", pbbs_parallel(g)),
         ("lonestar", lonestar_cpu(g)),
         ("uminho_cpu", uminho_cpu(g)),
-        ("setia_prim", setia_prim(g, 4, 0xBEEF)),
         ("uminho_gpu", uminho_gpu(g, GpuProfile::TITAN_V).result),
         ("cugraph", cugraph_gpu(g, GpuProfile::TITAN_V).result),
     ];
