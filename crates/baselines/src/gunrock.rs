@@ -9,7 +9,7 @@
 //! rescans, hub-serialized rows) ECL-MST's data-driven edge-centric design
 //! removes.
 
-use crate::{is_connected, GpuBaselineRun};
+use crate::GpuBaselineRun;
 use ecl_gpu_sim::{sanitize, with_scratch, Device, GpuProfile, TaskCtx};
 use ecl_graph::CsrGraph;
 use ecl_mst::{derived_const, pack, unpack, DeviceCsr, MstError, MstResult, EMPTY};
@@ -17,7 +17,7 @@ use ecl_mst::{derived_const, pack, unpack, DeviceCsr, MstError, MstResult, EMPTY
 /// Gunrock GPU: topology-driven DSU Borůvka. Errors with
 /// [`MstError::NotConnected`] on multi-component inputs.
 pub fn gunrock_gpu(g: &CsrGraph, profile: GpuProfile) -> Result<GpuBaselineRun, MstError> {
-    if g.num_vertices() > 1 && !is_connected(g) {
+    if g.num_vertices() > 1 && ecl_graph::stats::connected_components(g) != 1 {
         return Err(MstError::NotConnected);
     }
     let n = g.num_vertices();

@@ -12,7 +12,7 @@
 //! balanced edge-parallel kernels are why this is the fastest prior GPU
 //! code; the per-round contraction is why ECL-MST still beats it.
 
-use crate::{is_connected, GpuBaselineRun};
+use crate::GpuBaselineRun;
 use ecl_gpu_sim::{sanitize, with_scratch, ConstBuf, Device, GpuProfile};
 use ecl_graph::CsrGraph;
 use ecl_mst::{derived_const, pack, DeviceCsr, MstError, MstResult, EMPTY};
@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// Jucele GPU: data-driven contraction Borůvka. Errors with
 /// [`MstError::NotConnected`] on multi-component inputs (a pure MST code).
 pub fn jucele_gpu(g: &CsrGraph, profile: GpuProfile) -> Result<GpuBaselineRun, MstError> {
-    if g.num_vertices() > 1 && !is_connected(g) {
+    if g.num_vertices() > 1 && ecl_graph::stats::connected_components(g) != 1 {
         return Err(MstError::NotConnected);
     }
     Ok(contraction_boruvka_gpu(g, profile))

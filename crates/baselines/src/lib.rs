@@ -45,26 +45,6 @@ pub use pbbs::{pbbs_parallel, pbbs_serial};
 pub use serial::serial_prim;
 pub use uminho::{uminho_cpu, uminho_gpu};
 
-/// Memoized "is this graph a single connected component?" check.
-///
-/// The pure-MST codes (Jucele, Gunrock) gate every run on a host-side
-/// union-find pass over all edges; in a harness run each graph is probed
-/// `codes × repeats` times, so the verdict is cached per process-unique
-/// graph uid ([`ecl_graph::CsrGraph::uid`], never reused, stable across
-/// clones). Host-side and unmetered, so simulated timings are unaffected.
-pub(crate) fn is_connected(g: &ecl_graph::CsrGraph) -> bool {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    thread_local! {
-        static MEMO: RefCell<HashMap<u64, bool>> = RefCell::new(HashMap::new());
-    }
-    MEMO.with(|m| {
-        *m.borrow_mut()
-            .entry(g.uid())
-            .or_insert_with(|| ecl_graph::stats::connected_components(g) == 1)
-    })
-}
-
 /// Result of a simulated-GPU baseline: the MSF plus the simulated kernel
 /// and transfer clocks.
 #[derive(Debug)]

@@ -21,12 +21,12 @@
 //!
 //! `--metrics [PATH]` records the workload under an ecl-metrics session,
 //! writes the byte-stable `ecl-metrics/1` JSON (plus the Prometheus text
-//! next to it), and embeds the stable counters — with derived
-//! `simcache_hit_rate` / `dsu_retry_total` headline keys — into the
-//! snapshot; `--metrics-diff BASELINE.json` then compares the fresh export
-//! against a checked-in baseline and exits with status 5 when any stable
-//! metric drifted more than 5% in either direction (the CI metrics gate —
-//! distinct from the trace gate's exit 4).
+//! next to it), and embeds the stable counters — with a derived
+//! `dsu_retry_total` headline key — into the snapshot; `--metrics-diff
+//! BASELINE.json` then compares the fresh export against a checked-in
+//! baseline and exits with status 5 when any stable metric drifted more
+//! than 5% in either direction (the CI metrics gate — distinct from the
+//! trace gate's exit 4).
 //!
 //! `--sharded SCALE[,SCALE...]` (e.g. `--sharded large,huge`) additionally
 //! measures the out-of-core sharded MSF pipeline on the r4 twin at each
@@ -36,19 +36,24 @@
 //! out-of-core gate). This is the only mode expected to reach
 //! `--sharded huge` (2^24 vertices); the in-core workloads stop at large.
 //!
-//! An unknown flag, a flag missing its value, or a non-integer `--repeats`
+//! Simulated cells are deterministic, so each (code, input) is simulated
+//! once; the wall-clock CPU codes run `--repeats` times. An unknown flag,
+//! a flag missing its value, a non-integer `--repeats` or an unknown scale
 //! prints the usage and exits with status 2 before anything is measured.
 
 use ecl_gpu_sim::{scratch_footprint, GpuProfile};
 use ecl_graph::suite;
-use ecl_mst_bench::registry::{all_codes, MstCode};
-use ecl_mst_bench::runner::{
-    metrics_from_args, peak_rss_bytes, sanitize_from_args, scale_from_args, trace_from_args, wall,
-    with_optional_metrics, with_optional_sanitizer, with_optional_trace_breakdown, Repeats,
+use ecl_mst_bench::cli::{
+    parse_or_exit, usage, usage_error, Flag, Kind, METRICS, REPEATS, SANITIZE, SCALE, TRACE,
 };
-use ecl_mst_bench::sharded::{measure_sharded, sharded_scales_from_args};
-use ecl_mst_bench::{simcache, snapshot};
-use std::path::{Path, PathBuf};
+use ecl_mst_bench::registry::{column_names, simulate_columns, CPU_CODES};
+use ecl_mst_bench::runner::{
+    peak_rss_bytes, wall, with_optional_metrics, with_optional_sanitizer,
+    with_optional_trace_breakdown,
+};
+use ecl_mst_bench::sharded::measure_sharded;
+use ecl_mst_bench::snapshot;
+use std::path::Path;
 
 /// Wall-clock seconds of the Table 3 workload at the seed commit — the
 /// fallback baseline when no earlier `BENCH_N.json` of the same workload
@@ -63,54 +68,29 @@ use std::path::{Path, PathBuf};
 const SEED_BASELINE_WALL_SECONDS: f64 = 11.174;
 
 /// Every flag this binary reads.
-const USAGE: &str = "usage: bench_snapshot [--scale tiny|small|medium|large|huge] [--repeats N] \
-     [--sanitize] [--trace [PATH] [--diff BASELINE.profile.json]] \
-     [--metrics [PATH] [--metrics-diff BASELINE.json]] [--sharded SCALE[,SCALE...]]";
-
-/// Rejects an unknown flag, a flag missing its value and a non-integer
-/// `--repeats`, so a typo cannot silently skip a gate.
-fn check_args(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        match flag {
-            "--sanitize" => {}
-            "--trace" | "--metrics" => i += usize::from(value.is_some()),
-            "--scale" | "--repeats" | "--diff" | "--metrics-diff" | "--sharded" => {
-                let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
-                if flag == "--repeats" && v.parse::<usize>().is_err() {
-                    return Err(format!("--repeats takes an integer, not `{v}`"));
-                }
-                i += 1;
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(())
-}
-
-/// The path after `flag`, which [`check_args`] has made sure is present.
-fn path_arg(args: &[String], flag: &str) -> Option<PathBuf> {
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1).map(PathBuf::from)
-}
+const FLAGS: &[Flag] = &[
+    SCALE,
+    REPEATS,
+    SANITIZE,
+    TRACE,
+    ("--diff", Kind::Value),
+    METRICS,
+    ("--metrics-diff", Kind::Value),
+    ("--sharded", Kind::Scales),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = check_args(&args) {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    let scale = scale_from_args(&args);
-    let repeats = Repeats::from_args(&args);
-    let sharded_scales = sharded_scales_from_args(&args);
+    let usage = usage("bench_snapshot", FLAGS);
+    let a = parse_or_exit(&args, FLAGS, &usage);
+    let scale = a.scale();
+    let repeats = a.repeats().0.max(1);
+    let sharded_scales = a.scales("--sharded");
     let profile = GpuProfile::TITAN_V;
-    let codes: Vec<MstCode> = all_codes(false);
+    let codes = column_names(false);
 
     // Per-code totals over the whole suite. Suite generation runs inside
-    // the timed window so `total_wall` matches what the `table3` binary
+    // the timed window so `total_wall` matches what `ecl-bench table3`
     // actually costs end to end (the baseline constant was measured that
     // way).
     let mut wall_s = vec![0.0f64; codes.len()];
@@ -119,48 +99,57 @@ fn main() {
     // `--sanitize` wraps the whole timed window in a sanitizer session; the
     // resulting wall numbers measure the checked path, not the hot path, so
     // don't compare them to the baseline constant.
-    let sanitize = sanitize_from_args(&args);
-    let trace = trace_from_args(&args);
-    let diff_baseline = path_arg(&args, "--diff");
+    let sanitize = a.has(SANITIZE.0);
+    let trace = a.trace();
+    let diff_baseline = a.path("--diff");
     if diff_baseline.is_some() && trace.is_none() {
-        eprintln!("--diff needs --trace (the diff compares the fresh trace profile)");
-        std::process::exit(2);
+        usage_error(
+            "--diff needs --trace (the diff compares the fresh trace profile)",
+            &usage,
+        );
     }
-    let metrics = metrics_from_args(&args);
-    let metrics_diff = path_arg(&args, "--metrics-diff");
+    let metrics = a.metrics();
+    let metrics_diff = a.path("--metrics-diff");
     if metrics_diff.is_some() && metrics.is_none() {
-        eprintln!("--metrics-diff needs --metrics (the diff compares the fresh export)");
-        std::process::exit(2);
+        usage_error(
+            "--metrics-diff needs --metrics (the diff compares the fresh export)",
+            &usage,
+        );
     }
     // Metrics session outermost: the trace→metrics bridge publishes when
     // the trace session closes, which must happen inside it.
     let ((total_wall, trace_profile), metrics_snap) =
         with_optional_metrics(metrics.as_deref(), || {
-            let r = with_optional_trace_breakdown(trace.as_deref(), || {
+            with_optional_trace_breakdown(trace.as_deref(), || {
                 with_optional_sanitizer(sanitize, || {
                     wall(|| {
                         let entries = suite(scale);
                         n_inputs = entries.len();
                         for e in &entries {
                             eprintln!("measuring {} ...", e.name);
-                            for (c, code) in codes.iter().enumerate() {
-                                let mut sim = 0.0;
+                            // One simulation per code; its seconds count
+                            // once per repeat, so `simulated_ms` keeps
+                            // meaning the repeat total.
+                            let sims = simulate_columns(&e.graph, profile, false, None);
+                            for (c, cell) in sims.iter().enumerate() {
+                                wall_s[c] += cell.host_seconds;
+                                sim_s[c] += cell.timing.seconds().unwrap_or(0.0) * repeats as f64;
+                            }
+                            for (k, (_, run)) in CPU_CODES.iter().enumerate() {
+                                let c = sims.len() + k;
+                                let mut measured = 0.0;
                                 wall_s[c] += wall(|| {
-                                    for _ in 0..repeats.0.max(1) {
-                                        if let Ok(s) = (code.run)(&e.graph, profile) {
-                                            sim += s;
-                                        }
+                                    for _ in 0..repeats {
+                                        measured += wall(|| run(&e.graph));
                                     }
                                 });
-                                sim_s[c] += sim;
+                                sim_s[c] += measured;
                             }
                             ecl_mst::evict_graph(&e.graph);
                         }
                     })
                 })
-            });
-            simcache::publish_store_stats();
-            r
+            })
         });
 
     // Dynamic-updates column: incremental maintenance vs rebuild-per-batch,
@@ -205,18 +194,17 @@ fn main() {
     let prev_index = snapshot::latest_index(dir);
     let out = format!("BENCH_{}.json", prev_index + 1);
     let scale_name = format!("{scale:?}");
-    let current_repeats = repeats.0.max(1) as u64;
+    let current_repeats = repeats as u64;
     let baseline: Option<(f64, String)> = snapshot::read_snapshot(dir, prev_index)
-        .filter(|p| p.comparable_to(&scale_name, current_repeats, simcache::enabled()))
+        .filter(|p| p.comparable_to(&scale_name, current_repeats))
         .map(|p| (p.total_wall_seconds, p.file.clone()))
         .or_else(|| {
-            (scale_name == "Small" && current_repeats == 3 && !sanitize && !simcache::enabled())
-                .then(|| {
-                    (
-                        SEED_BASELINE_WALL_SECONDS,
-                        "seed commit 2727883".to_string(),
-                    )
-                })
+            (scale_name == "Small" && current_repeats == 3 && !sanitize).then(|| {
+                (
+                    SEED_BASELINE_WALL_SECONDS,
+                    "seed commit 2727883".to_string(),
+                )
+            })
         });
 
     let (scratch_const_bytes, scratch_pooled_bytes) = scratch_footprint();
@@ -224,13 +212,12 @@ fn main() {
         scale: scale_name,
         repeats: current_repeats,
         sanitize,
-        sim_cache: simcache::enabled(),
         inputs: n_inputs,
         codes: codes
             .iter()
             .enumerate()
-            .map(|(c, code)| snapshot::CodeTotals {
-                name: code.name,
+            .map(|(c, name)| snapshot::CodeTotals {
+                name,
                 wall_seconds: wall_s[c],
                 simulated_ms: sim_s[c] * 1e3,
             })
@@ -249,7 +236,6 @@ fn main() {
     std::fs::write(&out, &json).expect("write snapshot");
     print!("{json}");
     eprintln!("wrote {out}");
-    simcache::log_summary();
 
     // CI out-of-core gate: every sharded cell must hold its peak-RSS
     // budget and (where a monolith comparison ran) bit-exact parity.

@@ -1,28 +1,20 @@
 //! Experiment harness for the ECL-MST reproduction.
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index); this library holds the shared machinery: code registry, repeated
-//! timing with median selection ("We repeated each experiment 9 times ...
-//! and report the median computation time"), geometric means over MSF/MST
-//! inputs, and plain-text table/chart rendering.
+//! One binary, `ecl-bench`, regenerates every table and figure of the paper
+//! as subcommands (see DESIGN.md §4 for the index); `bench_snapshot` writes
+//! the `BENCH_<N>.json` chain. This library holds the shared machinery:
+//! the strict argument parser, the code registry, the measurements and
+//! renderings of every experiment, repeated timing with median selection
+//! ("We repeated each experiment 9 times ... and report the median
+//! computation time"), geometric means over MSF/MST inputs, and plain-text
+//! table/chart rendering.
 
 pub mod chart;
+pub mod cli;
 pub mod dynamic;
 pub mod experiments;
 pub mod registry;
 pub mod runner;
 pub mod sharded;
-pub mod simcache;
 pub mod snapshot;
 pub mod table;
-
-pub use dynamic::{measure_dynamic_updates, DynamicUpdatesReport};
-pub use experiments::{
-    measure_matrix, run_system_table, run_throughput_figure, Matrix, SystemTableArgs,
-};
-pub use registry::{all_codes, CodeKind, MstCode, Timing};
-pub use runner::{
-    geomean, median_time, profile_path, trace_from_args, wall, with_optional_trace,
-    with_optional_trace_profile, Repeats,
-};
-pub use sharded::{measure_sharded, sharded_scales_from_args, ShardedCell};

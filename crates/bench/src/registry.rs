@@ -1,83 +1,19 @@
-//! The registry of MST codes measured by the experiment binaries — the
-//! analogue of Table 1 plus our own code's two variants.
+//! The MST codes of Tables 3 and 4 — the analogue of Table 1 plus our own
+//! code's two columns — and the one place that evaluates them.
+//!
+//! Simulated clocks are pure functions of (graph, profile): the simulator
+//! is bit-deterministic (the golden-counters test pins every launch's
+//! event totals), so each simulated cell is evaluated exactly once. Only
+//! the wall-clock CPU codes repeat, to absorb real timing noise.
 
 use ecl_baselines as b;
 use ecl_gpu_sim::GpuProfile;
 use ecl_graph::CsrGraph;
-use ecl_mst::{ecl_mst_gpu_with, MstError, OptConfig};
-use std::cell::RefCell;
-
-// The two ECL-MST columns are two projections — kernel seconds, and kernel
-// plus transfer seconds — of the same bit-deterministic simulation, so the
-// plain column's run leaves its timings here and the memcpy column projects
-// them instead of re-simulating. Keyed by the graph's process-unique uid
-// plus the profile; any other key falls back to a fresh run, so each
-// column also stands alone. Uids are never reused, so a stale slot can
-// only miss, never yield a wrong timing.
-thread_local! {
-    static LAST_ECL_RUN: RefCell<Option<(u64, GpuProfile, f64, f64)>> =
-        const { RefCell::new(None) };
-}
-
-// Simulated clocks are pure functions of (graph, profile): the simulator is
-// single-threaded and bit-deterministic (the golden-counters test pins every
-// launch's event totals), so re-running a GPU-sim code inside a
-// `median_time` repeat loop reproduces the identical number. This memo makes
-// those repeats free; the wall-clock CPU codes are *not* memoized — their
-// repeats exist to absorb real timing noise. Keys pair the code's static
-// name pointer with the graph uid and profile (uids are process-unique and
-// never reused). A handful of entries per suite, so a linear scan suffices.
-type SimMemoEntry = (usize, u64, GpuProfile, Result<f64, MstError>);
-thread_local! {
-    static SIM_MEMO: RefCell<Vec<SimMemoEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `run` once per (code, graph, profile) and replays the simulated
-/// timing (or the "NC" verdict) on subsequent calls — from the in-process
-/// memo first, then from the cross-process measurement store when
-/// `ECL_SIM_CACHE` is set (so a `run_all.sh` sweep simulates each cell once
-/// across all its binaries).
-fn sim_cached(
-    name: &'static str,
-    g: &CsrGraph,
-    p: GpuProfile,
-    run: impl FnOnce() -> Result<f64, MstError>,
-) -> Result<f64, MstError> {
-    let key = (name.as_ptr() as usize, g.uid(), p);
-    let hit = SIM_MEMO.with(|m| {
-        m.borrow()
-            .iter()
-            .find(|(n, u, pr, _)| (*n, *u, *pr) == key)
-            .map(|(_, _, _, r)| r.clone())
-    });
-    if let Some(r) = hit {
-        // In-process memo replays (repeat loops, shared cells within one
-        // binary) are distinct from on-disk store hits.
-        ecl_metrics::counter!(SIMCACHE_REPLAY);
-        return r;
-    }
-    let r = crate::simcache::sim_result_cell(name, p.name, g, run);
-    SIM_MEMO.with(|m| m.borrow_mut().push((key.0, key.1, key.2, r.clone())));
-    r
-}
-
-/// Execution domain of a code (determines how it is timed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeKind {
-    /// Simulated-GPU code: timed by the device's simulated clock.
-    Gpu,
-    /// Simulated-GPU code including graph/result transfer time.
-    GpuWithMemcpy,
-    /// Host code (parallel or serial): timed by real wall-clock.
-    Cpu,
-}
-
-/// Signature of a single timed run: input graph + GPU profile in, seconds
-/// out (or the paper's "NC").
-pub type RunFn = Box<dyn Fn(&CsrGraph, GpuProfile) -> Result<f64, MstError> + Sync>;
+use ecl_mst::{ecl_mst_gpu_with, GpuRun, MstError, MstResult, OptConfig};
+use std::time::Instant;
 
 /// A timing outcome for one (code, input) cell.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Timing {
     /// Seconds (simulated for GPU codes, measured for CPU codes).
     Seconds(f64),
@@ -95,114 +31,117 @@ impl Timing {
     }
 }
 
-/// One measurable MST code.
-pub struct MstCode {
-    /// Column name as it appears in the paper's tables.
-    pub name: &'static str,
-    /// Execution domain.
-    pub kind: CodeKind,
-    /// Runs the code once and returns its timing (verification happens in
-    /// the test suite, not the timed path — as in the paper).
-    pub run: RunFn,
+impl From<Result<f64, MstError>> for Timing {
+    fn from(r: Result<f64, MstError>) -> Self {
+        r.map_or(Timing::NotConnected, Timing::Seconds)
+    }
 }
 
-/// Builds the full registry in the column order of Tables 3/4. `cugraph`
-/// toggles the cuGraph column (System 2 only in the paper).
-pub fn all_codes(cugraph: bool) -> Vec<MstCode> {
-    let mut codes: Vec<MstCode> = vec![
-        MstCode {
-            name: "ECL-MST",
-            kind: CodeKind::Gpu,
-            run: Box::new(|g, p| {
-                sim_cached("ECL-MST", g, p, || {
-                    let r = ecl_mst_gpu_with(g, &OptConfig::full(), p);
-                    LAST_ECL_RUN.with(|m| {
-                        *m.borrow_mut() = Some((g.uid(), p, r.kernel_seconds, r.memcpy_seconds));
-                    });
-                    Ok(r.kernel_seconds)
-                })
-            }),
+/// The two simulated clocks of one full-configuration ECL-MST run: the
+/// `ECL-MST` column is `kernel`, the `ECL-MST memcpy` column
+/// `kernel + memcpy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EclSeconds {
+    /// Simulated seconds in kernels.
+    pub kernel: f64,
+    /// Simulated seconds in host↔device transfers.
+    pub memcpy: f64,
+}
+
+impl EclSeconds {
+    /// The clocks of `run`.
+    pub fn of(run: &GpuRun) -> Self {
+        EclSeconds {
+            kernel: run.kernel_seconds,
+            memcpy: run.memcpy_seconds,
+        }
+    }
+}
+
+type SimFn = fn(&CsrGraph, GpuProfile) -> Result<f64, MstError>;
+
+/// The simulated comparators, in column order after the two ECL-MST
+/// columns. cuGraph runs on System 2 only.
+const GPU_BASELINES: [(&str, SimFn); 4] = [
+    ("Jucele GPU", |g, p| Ok(b::jucele_gpu(g, p)?.kernel_seconds)),
+    ("Gunrock GPU", |g, p| {
+        Ok(b::gunrock_gpu(g, p)?.kernel_seconds)
+    }),
+    (
+        "cuGraph GPU",
+        |g, p| Ok(b::cugraph_gpu(g, p).kernel_seconds),
+    ),
+    ("UMinho GPU", |g, p| Ok(b::uminho_gpu(g, p).kernel_seconds)),
+];
+
+/// Runs a host comparator once.
+pub type CpuFn = fn(&CsrGraph) -> MstResult;
+
+/// The host comparators, timed by wall clock, in column order after the
+/// simulated ones.
+pub const CPU_CODES: [(&str, CpuFn); 4] = [
+    ("Lonestar CPU", b::lonestar_cpu),
+    ("PBBS CPU", b::pbbs_parallel),
+    ("UMinho CPU", b::uminho_cpu),
+    ("PBBS Ser.", b::pbbs_serial),
+];
+
+fn gpu_baselines(cugraph: bool) -> impl Iterator<Item = &'static (&'static str, SimFn)> {
+    GPU_BASELINES
+        .iter()
+        .filter(move |(name, _)| cugraph || *name != "cuGraph GPU")
+}
+
+/// Every column name of Table 3 (`cugraph = false`) or Table 4, in order.
+pub fn column_names(cugraph: bool) -> Vec<&'static str> {
+    let mut names = vec!["ECL-MST", "ECL-MST memcpy"];
+    names.extend(gpu_baselines(cugraph).map(|(name, _)| *name));
+    names.extend(CPU_CODES.iter().map(|(name, _)| *name));
+    names
+}
+
+/// One simulated cell and the host seconds its evaluation took.
+#[derive(Debug, Clone, Copy)]
+pub struct SimCell {
+    /// The simulated timing (or NC).
+    pub timing: Timing,
+    /// Host wall seconds spent simulating it; zero for the memcpy column,
+    /// which reads the ECL-MST column's run.
+    pub host_seconds: f64,
+}
+
+/// Evaluates every simulated column of Table 3 (`cugraph = false`) or
+/// Table 4 on `g` once, in [`column_names`] order. `ecl` supplies the
+/// full-configuration ECL-MST run when the caller already simulated it;
+/// otherwise it is simulated here.
+pub fn simulate_columns(
+    g: &CsrGraph,
+    profile: GpuProfile,
+    cugraph: bool,
+    ecl: Option<EclSeconds>,
+) -> Vec<SimCell> {
+    let start = Instant::now();
+    let run =
+        ecl.unwrap_or_else(|| EclSeconds::of(&ecl_mst_gpu_with(g, &OptConfig::full(), profile)));
+    let mut cells = vec![
+        SimCell {
+            timing: Timing::Seconds(run.kernel),
+            host_seconds: start.elapsed().as_secs_f64(),
         },
-        MstCode {
-            name: "ECL-MST memcpy",
-            kind: CodeKind::GpuWithMemcpy,
-            run: Box::new(|g, p| {
-                sim_cached("ECL-MST memcpy", g, p, || {
-                    if let Some((uid, prof, kernel, memcpy)) = LAST_ECL_RUN.with(|m| *m.borrow()) {
-                        if uid == g.uid() && prof == p {
-                            return Ok(kernel + memcpy);
-                        }
-                    }
-                    let r = ecl_mst_gpu_with(g, &OptConfig::full(), p);
-                    Ok(r.kernel_seconds + r.memcpy_seconds)
-                })
-            }),
-        },
-        MstCode {
-            name: "Jucele GPU",
-            kind: CodeKind::Gpu,
-            run: Box::new(|g, p| {
-                sim_cached("Jucele GPU", g, p, || {
-                    Ok(b::jucele_gpu(g, p)?.kernel_seconds)
-                })
-            }),
-        },
-        MstCode {
-            name: "Gunrock GPU",
-            kind: CodeKind::Gpu,
-            run: Box::new(|g, p| {
-                sim_cached("Gunrock GPU", g, p, || {
-                    Ok(b::gunrock_gpu(g, p)?.kernel_seconds)
-                })
-            }),
+        SimCell {
+            timing: Timing::Seconds(run.kernel + run.memcpy),
+            host_seconds: 0.0,
         },
     ];
-    if cugraph {
-        codes.push(MstCode {
-            name: "cuGraph GPU",
-            kind: CodeKind::Gpu,
-            run: Box::new(|g, p| {
-                sim_cached("cuGraph GPU", g, p, || {
-                    Ok(b::cugraph_gpu(g, p).kernel_seconds)
-                })
-            }),
-        });
-    }
-    codes.extend([
-        MstCode {
-            name: "UMinho GPU",
-            kind: CodeKind::Gpu,
-            run: Box::new(|g, p| {
-                sim_cached(
-                    "UMinho GPU",
-                    g,
-                    p,
-                    || Ok(b::uminho_gpu(g, p).kernel_seconds),
-                )
-            }),
-        },
-        MstCode {
-            name: "Lonestar CPU",
-            kind: CodeKind::Cpu,
-            run: Box::new(|g, _| Ok(crate::runner::wall(|| b::lonestar_cpu(g)))),
-        },
-        MstCode {
-            name: "PBBS CPU",
-            kind: CodeKind::Cpu,
-            run: Box::new(|g, _| Ok(crate::runner::wall(|| b::pbbs_parallel(g)))),
-        },
-        MstCode {
-            name: "UMinho CPU",
-            kind: CodeKind::Cpu,
-            run: Box::new(|g, _| Ok(crate::runner::wall(|| b::uminho_cpu(g)))),
-        },
-        MstCode {
-            name: "PBBS Ser.",
-            kind: CodeKind::Cpu,
-            run: Box::new(|g, _| Ok(crate::runner::wall(|| b::pbbs_serial(g)))),
-        },
-    ]);
-    codes
+    cells.extend(gpu_baselines(cugraph).map(|(_, sim)| {
+        let start = Instant::now();
+        let timing = sim(g, profile).into();
+        SimCell {
+            timing,
+            host_seconds: start.elapsed().as_secs_f64(),
+        }
+    }));
+    cells
 }
 
 #[cfg(test)]
@@ -213,31 +152,28 @@ mod tests {
     #[test]
     fn registry_matches_table_columns() {
         // Table 3 has 9 code columns; Table 4 adds cuGraph for 10.
-        assert_eq!(all_codes(false).len(), 9);
-        assert_eq!(all_codes(true).len(), 10);
-        assert_eq!(all_codes(true)[4].name, "cuGraph GPU");
+        assert_eq!(column_names(false).len(), 9);
+        assert_eq!(column_names(true).len(), 10);
+        assert_eq!(column_names(true)[4], "cuGraph GPU");
     }
 
     #[test]
-    fn every_code_times_a_connected_graph() {
+    fn memcpy_column_projects_the_ecl_run() {
         let g = grid2d(8, 1);
-        for code in all_codes(true) {
-            let t = (code.run)(&g, GpuProfile::TITAN_V)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", code.name));
-            assert!(t > 0.0, "{}", code.name);
-        }
-    }
-
-    #[test]
-    fn mst_only_codes_error_on_forests() {
-        let g = ecl_graph::generators::rmat(8, 4, 1);
-        for code in all_codes(true) {
-            let r = (code.run)(&g, GpuProfile::TITAN_V);
-            if code.name == "Jucele GPU" || code.name == "Gunrock GPU" {
-                assert!(r.is_err(), "{} should be NC", code.name);
-            } else {
-                assert!(r.is_ok(), "{} should handle MSF", code.name);
-            }
-        }
+        let direct = ecl_mst_gpu_with(&g, &OptConfig::full(), GpuProfile::TITAN_V);
+        let cells = simulate_columns(&g, GpuProfile::TITAN_V, false, None);
+        assert_eq!(cells[0].timing, Timing::Seconds(direct.kernel_seconds));
+        assert_eq!(
+            cells[1].timing,
+            Timing::Seconds(direct.kernel_seconds + direct.memcpy_seconds)
+        );
+        // A supplied run is used as is, not simulated again.
+        let given = EclSeconds {
+            kernel: 1.0,
+            memcpy: 2.0,
+        };
+        let cells = simulate_columns(&g, GpuProfile::TITAN_V, false, Some(given));
+        assert_eq!(cells[0].timing, Timing::Seconds(1.0));
+        assert_eq!(cells[1].timing, Timing::Seconds(3.0));
     }
 }

@@ -3,8 +3,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// How many repetitions to run per (code, input) cell. The paper uses 9;
-/// the binaries accept `--repeats N` to trade accuracy for turnaround.
+/// How many repetitions to run per wall-clock (code, input) cell. The paper
+/// uses 9; `--repeats N` trades accuracy for turnaround. Simulated cells are
+/// deterministic and run once whatever the count.
 #[derive(Debug, Clone, Copy)]
 pub struct Repeats(pub usize);
 
@@ -12,48 +13,6 @@ impl Default for Repeats {
     fn default() -> Self {
         Repeats(9)
     }
-}
-
-impl Repeats {
-    /// Parses `--repeats N` from an argument list (defaults to 9).
-    pub fn from_args(args: &[String]) -> Self {
-        args.iter()
-            .position(|a| a == "--repeats")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .map(Repeats)
-            .unwrap_or_default()
-    }
-}
-
-/// Parses `--scale tiny|small|medium|large|huge` (default small) from
-/// arguments. Unknown values — including a trailing `--scale` with no
-/// value — are a hard error naming the valid scales, never a silent
-/// default.
-pub fn scale_from_args(args: &[String]) -> ecl_graph::SuiteScale {
-    use ecl_graph::SuiteScale::*;
-    match args.iter().position(|a| a == "--scale") {
-        None => Small,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => Tiny,
-            Some("small") => Small,
-            Some("medium") => Medium,
-            Some("large") => Large,
-            Some("huge") => Huge,
-            other => {
-                eprintln!(
-                    "error: unknown --scale '{}' (valid scales: tiny|small|medium|large|huge)",
-                    other.unwrap_or("<missing>")
-                );
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// True when `--sanitize` is present in the argument list.
-pub fn sanitize_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--sanitize")
 }
 
 /// Runs `f` under a gpu-sim sanitizer session when `enabled`; otherwise
@@ -76,24 +35,6 @@ pub fn with_optional_sanitizer<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Parses `--trace [PATH]` into the Chrome-trace output path. `--trace`
-/// without a path (or the ambient `ECL_TRACE=1`) defaults to `trace.json`.
-/// `None` means tracing stays off.
-pub fn trace_from_args(args: &[String]) -> Option<PathBuf> {
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        let path = args
-            .get(i + 1)
-            .filter(|s| !s.starts_with("--"))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("trace.json"));
-        return Some(path);
-    }
-    match std::env::var("ECL_TRACE") {
-        Ok(v) if !v.is_empty() && v != "0" => Some(PathBuf::from("trace.json")),
-        _ => None,
-    }
-}
-
 /// Sibling profile-JSON path for a trace path: `out.json` →
 /// `out.profile.json`.
 pub fn profile_path(trace: &Path) -> PathBuf {
@@ -108,18 +49,8 @@ pub fn profile_path(trace: &Path) -> PathBuf {
 /// it directly. On a traced run, writes the Chrome trace JSON to `path` and
 /// the machine-readable profile next to it, prints the per-round and
 /// per-kernel tables to stderr (stdout stays parseable for `--csv` pipes),
-/// and returns the profile alongside `f`'s result.
-pub fn with_optional_trace_profile<R>(
-    path: Option<&Path>,
-    f: impl FnOnce() -> R,
-) -> (R, Option<ecl_trace::Profile>) {
-    let (out, pb) = with_optional_trace_breakdown(path, f);
-    (out, pb.map(|(p, _)| p))
-}
-
-/// [`with_optional_trace_profile`] that also returns the session's
-/// wall-clock span breakdown (per-kernel self/total host seconds) — the
-/// per-kernel cost table the bench snapshot embeds for the CPU codes.
+/// and returns the profile and the session's wall-clock span breakdown
+/// (per-kernel self/total host seconds) alongside `f`'s result.
 pub fn with_optional_trace_breakdown<R>(
     path: Option<&Path>,
     f: impl FnOnce() -> R,
@@ -139,27 +70,9 @@ pub fn with_optional_trace_breakdown<R>(
     (out, Some((profile, breakdown)))
 }
 
-/// [`with_optional_trace_profile`] for callers that don't need the profile.
+/// [`with_optional_trace_breakdown`] for callers that don't need the profile.
 pub fn with_optional_trace<R>(path: Option<&Path>, f: impl FnOnce() -> R) -> R {
-    with_optional_trace_profile(path, f).0
-}
-
-/// Parses `--metrics [PATH]` into the metrics JSON output path. `--metrics`
-/// without a path (or the ambient `ECL_METRICS=1`) defaults to
-/// `metrics.json`. `None` means the telemetry registry stays off.
-pub fn metrics_from_args(args: &[String]) -> Option<PathBuf> {
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
-        let path = args
-            .get(i + 1)
-            .filter(|s| !s.starts_with("--"))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("metrics.json"));
-        return Some(path);
-    }
-    match std::env::var("ECL_METRICS") {
-        Ok(v) if !v.is_empty() && v != "0" => Some(PathBuf::from("metrics.json")),
-        _ => None,
-    }
+    with_optional_trace_breakdown(path, f).0
 }
 
 /// Sibling Prometheus text path for a metrics path: `out/metrics.json` →
@@ -196,15 +109,15 @@ pub fn wall<T>(f: impl FnOnce() -> T) -> f64 {
     secs
 }
 
-/// Runs `f` `repeats` times and returns the median of the reported seconds
-/// (the paper's protocol), or `None` if any run declines (NC).
-pub fn median_time(repeats: Repeats, mut f: impl FnMut() -> Option<f64>) -> Option<f64> {
-    let mut times = Vec::with_capacity(repeats.0);
-    for _ in 0..repeats.0.max(1) {
-        times.push(f()?);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    Some(times[times.len() / 2])
+/// Median wall-clock seconds of `repeats` runs of `f` (at least one): the
+/// paper's protocol for every real-time cell.
+pub fn median_wall<T>(repeats: Repeats, mut f: impl FnMut() -> T) -> f64 {
+    median((0..repeats.0.max(1)).map(|_| wall(&mut f)).collect())
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+    xs[xs.len() / 2]
 }
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
@@ -239,20 +152,13 @@ mod tests {
 
     #[test]
     fn median_picks_middle() {
-        let mut seq = [5.0, 1.0, 3.0].into_iter();
-        let m = median_time(Repeats(3), || seq.next());
-        assert_eq!(m, Some(3.0));
-    }
-
-    #[test]
-    fn median_propagates_nc() {
+        assert_eq!(median(vec![5.0, 1.0, 3.0]), 3.0);
         let mut calls = 0;
-        let m = median_time(Repeats(5), || {
-            calls += 1;
-            None
-        });
-        assert_eq!(m, None);
-        assert_eq!(calls, 1, "should stop on first NC");
+        let m = median_wall(Repeats(3), || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(m >= 0.0);
+        median_wall(Repeats(0), || calls += 1);
+        assert_eq!(calls, 4, "zero repeats still runs once");
     }
 
     #[test]
@@ -269,28 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_parses_with_and_without_path() {
-        let to_args = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            trace_from_args(&to_args(&["--trace", "out.json"])),
-            Some(PathBuf::from("out.json"))
-        );
-        // A following flag is not a path.
-        assert_eq!(
-            trace_from_args(&to_args(&["--trace", "--csv"])),
-            Some(PathBuf::from("trace.json"))
-        );
-        assert_eq!(
-            trace_from_args(&to_args(&["--trace"])),
-            Some(PathBuf::from("trace.json"))
-        );
-        // (No --trace and no ECL_TRACE in the test env: off.)
-        if std::env::var("ECL_TRACE").is_err() {
-            assert_eq!(trace_from_args(&[]), None);
-        }
-    }
-
-    #[test]
     fn profile_path_keeps_directory_and_stem() {
         assert_eq!(
             profile_path(Path::new("out/t3.json")),
@@ -304,25 +188,13 @@ mod tests {
 
     #[test]
     fn untraced_call_returns_no_profile() {
-        let (v, p) = with_optional_trace_profile(None, || 7);
+        let (v, p) = with_optional_trace_breakdown(None, || 7);
         assert_eq!(v, 7);
         assert!(p.is_none());
     }
 
     #[test]
-    fn metrics_flag_parses_with_and_without_path() {
-        let to_args = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            metrics_from_args(&to_args(&["--metrics", "m.json"])),
-            Some(PathBuf::from("m.json"))
-        );
-        assert_eq!(
-            metrics_from_args(&to_args(&["--metrics", "--csv"])),
-            Some(PathBuf::from("metrics.json"))
-        );
-        if std::env::var("ECL_METRICS").is_err() {
-            assert_eq!(metrics_from_args(&[]), None);
-        }
+    fn prom_path_replaces_the_extension() {
         assert_eq!(
             prom_path(Path::new("out/metrics.json")),
             PathBuf::from("out/metrics.prom")
@@ -334,12 +206,5 @@ mod tests {
         let (v, s) = with_optional_metrics(None, || 7);
         assert_eq!(v, 7);
         assert!(s.is_none());
-    }
-
-    #[test]
-    fn repeats_parses_args() {
-        let args: Vec<String> = ["--repeats", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(Repeats::from_args(&args).0, 3);
-        assert_eq!(Repeats::from_args(&[]).0, 9);
     }
 }

@@ -162,39 +162,6 @@ pub fn measure_sharded(scale: SuiteScale) -> ShardedCell {
     }
 }
 
-/// Parses `--sharded SCALE[,SCALE...]` (e.g. `--sharded large,huge`) into
-/// the list of sharded cells to measure. Absent flag means none; an
-/// unknown scale or a missing value is a hard usage error, matching
-/// [`crate::runner::scale_from_args`].
-pub fn sharded_scales_from_args(args: &[String]) -> Vec<SuiteScale> {
-    let Some(i) = args.iter().position(|a| a == "--sharded") else {
-        return Vec::new();
-    };
-    let spec = match args.get(i + 1).map(String::as_str) {
-        Some(s) if !s.starts_with("--") => s,
-        _ => {
-            eprintln!("error: --sharded requires a scale list, e.g. --sharded large,huge");
-            std::process::exit(2);
-        }
-    };
-    spec.split(',')
-        .map(|name| match name {
-            "tiny" => SuiteScale::Tiny,
-            "small" => SuiteScale::Small,
-            "medium" => SuiteScale::Medium,
-            "large" => SuiteScale::Large,
-            "huge" => SuiteScale::Huge,
-            other => {
-                eprintln!(
-                    "error: unknown --sharded scale '{other}' \
-                     (valid scales: tiny|small|medium|large|huge)"
-                );
-                std::process::exit(2);
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,20 +190,6 @@ mod tests {
                 cell.rss_budget_bytes
             );
         }
-    }
-
-    #[test]
-    fn scales_flag_parses_lists() {
-        let to_args = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(sharded_scales_from_args(&[]).is_empty());
-        assert_eq!(
-            sharded_scales_from_args(&to_args(&["--sharded", "large,huge"])),
-            vec![SuiteScale::Large, SuiteScale::Huge]
-        );
-        assert_eq!(
-            sharded_scales_from_args(&to_args(&["--sharded", "tiny"])),
-            vec![SuiteScale::Tiny]
-        );
     }
 
     #[test]

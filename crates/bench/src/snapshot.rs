@@ -5,7 +5,8 @@
 //! Every `bench_snapshot` run appends the next link: it scans the working
 //! directory for existing `BENCH_<N>.json` files, writes `BENCH_<N+1>.json`,
 //! and — when the newest previous snapshot describes the *same workload*
-//! (equal scale and repeat count, neither run sanitized) — reports that
+//! (equal scale and repeat count, neither run sanitized nor replayed from
+//! the retired measurement store) — reports that
 //! snapshot's total wall seconds as the baseline, so
 //! `speedup_vs_baseline` tracks regression/improvement PR over PR without
 //! hand-maintained constants.
@@ -32,7 +33,6 @@ pub struct Link<'a> {
     pub scale: String,
     pub repeats: u64,
     pub sanitize: bool,
-    pub sim_cache: bool,
     pub inputs: usize,
     pub codes: Vec<CodeTotals>,
     pub total_wall_seconds: f64,
@@ -72,7 +72,6 @@ impl Link<'_> {
             ("scale", self.scale.as_str().into()),
             ("repeats", self.repeats.into()),
             ("sanitize", self.sanitize.into()),
-            ("sim_cache", self.sim_cache.into()),
             ("inputs", self.inputs.into()),
             ("codes", Value::Arr(codes.collect())),
             ("total_wall_seconds", fixed(self.total_wall_seconds, 4)),
@@ -97,17 +96,8 @@ impl Link<'_> {
             doc.push(("wall_breakdown", Value::Arr(spans.collect())));
         }
         if let Some(snap) = self.metrics {
-            let hit = snap.counter("ecl.simcache.hit");
-            let looked =
-                hit + snap.counter("ecl.simcache.miss") + snap.counter("ecl.simcache.stale");
-            let rate = if looked == 0 {
-                0.0
-            } else {
-                hit as f64 / looked as f64
-            };
             let mut block = vec![
                 ("format", json::FORMAT.into()),
-                ("simcache_hit_rate", fixed(rate, 4)),
                 ("dsu_retry_total", snap.counter("ecl.dsu.cas_retry").into()),
             ];
             for e in snap
@@ -194,18 +184,19 @@ pub struct PrevSnapshot {
     pub repeats: Option<u64>,
     /// `sanitize` field (absent in pre-chain snapshots = unsanitized).
     pub sanitize: bool,
-    /// `sim_cache` field (absent in pre-chain snapshots = uncached).
+    /// `sim_cache` field: the run replayed cells from the on-disk
+    /// measurement store that earlier versions kept (absent = measured).
     pub sim_cache: bool,
 }
 
 impl PrevSnapshot {
     /// True when this snapshot's workload matches the given one, making its
-    /// wall time an apples-to-apples baseline. A replayed (sim-cached) run
-    /// and a measured one are never comparable: replays skip the simulation
-    /// work the baseline paid for.
-    pub fn comparable_to(&self, scale: &str, repeats: u64, sim_cache: bool) -> bool {
+    /// wall time an apples-to-apples baseline. A run that replayed cells
+    /// from the retired measurement store skipped simulation work every
+    /// new run pays for, so it is never a baseline.
+    pub fn comparable_to(&self, scale: &str, repeats: u64) -> bool {
         !self.sanitize
-            && self.sim_cache == sim_cache
+            && !self.sim_cache
             && self.scale.as_deref() == Some(scale)
             && self.repeats == Some(repeats)
     }
@@ -283,13 +274,10 @@ mod tests {
         assert_eq!(s.scale.as_deref(), Some("Small"));
         assert_eq!(s.repeats, Some(3));
         assert!(!s.sanitize);
-        assert!(s.comparable_to("Small", 3, false));
-        assert!(!s.comparable_to("Small", 9, false));
-        assert!(!s.comparable_to("Tiny", 3, false));
-        assert!(
-            !s.comparable_to("Small", 3, true),
-            "a cached run must not baseline against an uncached one"
-        );
+        assert!(!s.sim_cache);
+        assert!(s.comparable_to("Small", 3));
+        assert!(!s.comparable_to("Small", 9));
+        assert!(!s.comparable_to("Tiny", 3));
         let _ = std::fs::remove_dir_all(&d);
 
         // Every committed link keeps reading to the same baseline fields.
@@ -301,6 +289,7 @@ mod tests {
             (4, 3.2304, "Small", 3, true),
             (5, 2.3295, "Small", 3, true),
             (6, 2.2909, "Small", 3, true),
+            (7, 0.2237, "Tiny", 1, false),
         ] {
             let s = read_snapshot(root, index).expect("committed link parses");
             assert_eq!(s.file, format!("BENCH_{index}.json"));
@@ -309,9 +298,8 @@ mod tests {
             assert_eq!(s.repeats, Some(repeats), "{}", s.file);
             assert!(!s.sanitize, "{}", s.file);
             assert_eq!(s.sim_cache, sim_cache, "{}", s.file);
-            // A cached run baselines only against cached runs, and back.
-            assert!(s.comparable_to(scale, repeats, sim_cache), "{}", s.file);
-            assert!(!s.comparable_to(scale, repeats, !sim_cache), "{}", s.file);
+            // A link that replayed cached cells is never a baseline.
+            assert_eq!(s.comparable_to(scale, repeats), !sim_cache, "{}", s.file);
         }
     }
 
@@ -322,7 +310,7 @@ mod tests {
         std::fs::write(d.join("BENCH_4.json"), text).unwrap();
         let s = read_snapshot(&d, 4).unwrap();
         assert!(s.sanitize);
-        assert!(!s.comparable_to("Small", 3, false));
+        assert!(!s.comparable_to("Small", 3));
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -352,8 +340,8 @@ mod tests {
             vec![span],
         );
         let ((), metrics) = ecl_metrics::with_metrics(|| {
-            ecl_metrics::counter!(SIMCACHE_HIT, 3);
-            ecl_metrics::counter!(SIMCACHE_MISS, 1);
+            ecl_metrics::counter!(RUNNER_CELLS, 3);
+            ecl_metrics::counter!(DSU_CAS_RETRY, 1);
         });
         let dynamic = DynamicUpdatesReport {
             batches: 8,
@@ -380,7 +368,6 @@ mod tests {
             scale: "Huge".into(),
             repeats: 3,
             sanitize: false,
-            sim_cache: true,
             inputs: 17,
             codes: vec![CodeTotals {
                 name: "ECL-MST",
@@ -404,9 +391,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         assert_eq!(s.total_wall_seconds, 2.2909);
         assert_eq!((s.scale.as_deref(), s.repeats), (Some("Huge"), Some(3)));
-        assert!(!s.sanitize && s.sim_cache);
-        assert!(s.comparable_to("Huge", 3, true));
-        assert!(!s.comparable_to("Large", 3, true));
+        assert!(!s.sanitize && !s.sim_cache);
+        assert!(s.comparable_to("Huge", 3));
+        assert!(!s.comparable_to("Large", 3));
 
         let doc = json::parse(&text).unwrap();
         let first = |key| &doc.get(key).and_then(Value::as_arr).unwrap()[0];
@@ -419,8 +406,8 @@ mod tests {
         assert_eq!(num(first("wall_breakdown"), "calls"), Some(2.0));
         let m = doc.get("metrics").unwrap();
         assert_eq!(m.get("format").and_then(Value::as_str), Some(json::FORMAT));
-        assert_eq!(num(m, "simcache_hit_rate"), Some(0.75));
-        assert_eq!(num(m, "ecl.simcache.hit"), Some(3.0));
+        assert_eq!(num(m, "dsu_retry_total"), Some(1.0));
+        assert_eq!(num(m, "ecl.runner.cells"), Some(3.0));
         let cell = first("sharded");
         assert_eq!(cell.get("scale").and_then(Value::as_str), Some("large"));
         assert_eq!(num(cell, "wall_seconds"), Some(1.0693));

@@ -31,7 +31,7 @@
 //!
 //! **External-memory mode.** With a spill directory configured, stage 1
 //! runs shards sequentially and writes each survivor set to disk
-//! (tmp+rename, the simcache discipline), and every merge loads exactly two
+//! (write a temp file, then rename it), and every merge loads exactly two
 //! sets at a time — peak residency is one shard's working set plus the
 //! merge pair, never the input graph. `crates/bench` measures the resulting
 //! peak RSS (VmHWM) and asserts the budget in `bench_snapshot`.
@@ -478,7 +478,7 @@ enum Survivors {
     File { path: PathBuf, triples: usize },
 }
 
-/// Persists a survivor set under `dir` with the simcache write discipline
+/// Persists a survivor set under `dir` with an atomic write
 /// (write to a pid-suffixed temp name, then rename into place) so a
 /// crashed run never leaves a torn file behind. The on-disk layout is
 /// 12-byte LE `(u, v, w)` records; the file keeps the set's total order.

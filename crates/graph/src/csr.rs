@@ -112,7 +112,7 @@ impl CsrGraph {
     /// 64-bit digest of the four CSR arrays — structural content only, so
     /// two [`PartialEq`]-equal graphs digest equally while the process-local
     /// [`CsrGraph::uid`] plays no part. This is the cross-process analogue
-    /// of `uid`: on-disk measurement stores key replayed timings by it.
+    /// of `uid`, for checking that separately built inputs are identical.
     pub fn content_hash(&self) -> u64 {
         const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
         fn mix(mut h: u64, x: u64) -> u64 {

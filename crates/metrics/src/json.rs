@@ -725,14 +725,14 @@ mod tests {
     #[test]
     fn export_parses_back_and_is_stable_only() {
         let ((), snap) = with_metrics(|| {
-            crate::counter!(SIMCACHE_HIT, 12);
+            crate::counter!(GRAPH_BUILDS, 12);
             crate::counter!(DSU_CAS_RETRY, 99); // volatile: must not export
             crate::histogram!(GRAPH_BUILD_ARCS, 5000.0);
         });
         let text = to_json(&snap);
         assert!(text.starts_with("{\n  \"format\": \"ecl-metrics/1\""));
         let base = from_json(&text).unwrap();
-        assert_eq!(base.get("ecl.simcache.hit").unwrap().value, 12.0);
+        assert_eq!(base.get("ecl.graph.builds").unwrap().value, 12.0);
         assert!(
             base.get("ecl.dsu.cas_retry").is_none(),
             "volatile metrics must stay out of the byte-stable export"
@@ -746,9 +746,9 @@ mod tests {
     fn identical_sessions_export_identical_bytes() {
         let run = || {
             with_metrics(|| {
-                crate::counter!(SIMCACHE_HIT, 7);
-                crate::counter!(SIMCACHE_MISS, 3);
-                crate::gauge!(SIMCACHE_ENTRIES, 10);
+                crate::counter!(GRAPH_BUILDS, 7);
+                crate::counter!(RUNNER_CELLS, 3);
+                crate::gauge!(DYNAMIC_TREE_CHURN, 10);
                 crate::histogram!(GRAPH_BUILD_ARCS, 123.0);
             })
             .1
@@ -759,19 +759,19 @@ mod tests {
 
     #[test]
     fn diff_flags_drift_and_name_changes() {
-        let ((), a) = with_metrics(|| crate::counter!(SIMCACHE_HIT, 100));
+        let ((), a) = with_metrics(|| crate::counter!(GRAPH_BUILDS, 100));
         let base = from_json(&a.to_json()).unwrap();
 
         // Identical run: clean.
-        let ((), b) = with_metrics(|| crate::counter!(SIMCACHE_HIT, 100));
+        let ((), b) = with_metrics(|| crate::counter!(GRAPH_BUILDS, 100));
         assert!(diff(&b, &base, 0.05).is_pass());
 
         // Within threshold: clean.
-        let ((), c) = with_metrics(|| crate::counter!(SIMCACHE_HIT, 104));
+        let ((), c) = with_metrics(|| crate::counter!(GRAPH_BUILDS, 104));
         assert!(diff(&c, &base, 0.05).is_pass());
 
         // Past threshold: drift.
-        let ((), d) = with_metrics(|| crate::counter!(SIMCACHE_HIT, 200));
+        let ((), d) = with_metrics(|| crate::counter!(GRAPH_BUILDS, 200));
         let report = diff(&d, &base, 0.05);
         assert!(!report.is_pass());
         assert!(report.lines.iter().any(|l| l.contains("DRIFT")));
@@ -779,7 +779,7 @@ mod tests {
         // A baseline name that vanished from the registry drifts too.
         let mut renamed = base.clone();
         renamed.metrics.push(BaselineMetric {
-            name: "ecl.simcache.hits_old".into(),
+            name: "ecl.graph.builds_old".into(),
             kind: "counter".into(),
             value: 1.0,
             count: 0,

@@ -25,7 +25,7 @@
 //! # Name stability
 //!
 //! Every metric is declared exactly once in [`names`] with a dotted name
-//! (`ecl.simcache.hit`, `ecl.dsu.cas_retry`, …). The recording macros take
+//! (`ecl.graph.builds`, `ecl.dsu.cas_retry`, …). The recording macros take
 //! the *declared identifier*, not a string — an undeclared name is a
 //! compile error — and the `metric-name-registry` lint rule closes the
 //! loop in the other direction: a declared name with no call site is a
@@ -412,7 +412,7 @@ pub fn with_metrics<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
 // ---------------------------------------------------------------------------
 // Recording macros.
 
-/// Increments a declared counter: `counter!(SIMCACHE_HIT)` adds 1,
+/// Increments a declared counter: `counter!(GRAPH_BUILDS)` adds 1,
 /// `counter!(DSU_FIND_HOP, hops)` adds `hops`. The name must be a
 /// [`names`] identifier — undeclared names are compile errors — and the
 /// whole call is one predictable branch when recording is off.
@@ -429,7 +429,7 @@ macro_rules! counter {
 }
 
 /// Sets a declared gauge to an `f64` value (last write wins):
-/// `gauge!(SIMCACHE_ENTRIES, cells)`.
+/// `gauge!(DYNAMIC_TREE_CHURN, cells)`.
 #[macro_export]
 macro_rules! gauge {
     ($name:ident, $v:expr) => {
@@ -460,21 +460,21 @@ mod tests {
         // scoped session active while we probe the off-state.
         let _lock = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!active());
-        counter!(SIMCACHE_HIT, 5);
+        counter!(GRAPH_BUILDS, 5);
         let snap = Snapshot::collect();
-        assert_eq!(snap.counter("ecl.simcache.hit"), 0);
+        assert_eq!(snap.counter("ecl.graph.builds"), 0);
     }
 
     #[test]
     fn scoped_session_captures_and_resets() {
         let ((), snap) = with_metrics(|| {
-            counter!(SIMCACHE_HIT);
-            counter!(SIMCACHE_HIT, 2);
-            gauge!(SIMCACHE_ENTRIES, 7);
+            counter!(GRAPH_BUILDS);
+            counter!(GRAPH_BUILDS, 2);
+            gauge!(DYNAMIC_TREE_CHURN, 7);
             histogram!(GRAPH_BUILD_ARCS, 150.0);
         });
-        assert_eq!(snap.counter("ecl.simcache.hit"), 3);
-        assert_eq!(snap.gauge("ecl.simcache.entries"), 7.0);
+        assert_eq!(snap.counter("ecl.graph.builds"), 3);
+        assert_eq!(snap.gauge("ecl.dynamic.tree_churn"), 7.0);
         let h = snap.get("ecl.graph.build_arcs").unwrap();
         assert_eq!(h.count, 1);
         assert!(h.sum > 149.0 && h.sum < 151.0);
@@ -482,7 +482,7 @@ mod tests {
         // (probe under the lock: other tests' sessions also reset on exit).
         let _lock = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!active());
-        assert_eq!(Snapshot::collect().counter("ecl.simcache.hit"), 0);
+        assert_eq!(Snapshot::collect().counter("ecl.graph.builds"), 0);
     }
 
     #[test]

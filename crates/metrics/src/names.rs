@@ -17,52 +17,14 @@
 use crate::Metric;
 use crate::Stability::{Stable, Volatile};
 
-/// Wall-clock latency bounds in seconds, spanning sub-millisecond cache
-/// probes to minute-long Large-scale sweeps.
+/// Wall-clock latency bounds in seconds, spanning sub-millisecond spans
+/// to minute-long Large-scale sweeps.
 pub const TIME_BUCKETS: &[f64] = &[
     1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 ];
 
 /// Size bounds (arc counts) for graph-build distributions.
 pub const SIZE_BUCKETS: &[f64] = &[1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
-
-// --- ECL_SIM_CACHE measurement store -------------------------------------
-
-pub static SIMCACHE_HIT: Metric = Metric::counter(
-    "ecl.simcache.hit",
-    Stable,
-    "sim-cache cells served from the on-disk store",
-);
-pub static SIMCACHE_MISS: Metric = Metric::counter(
-    "ecl.simcache.miss",
-    Stable,
-    "sim-cache lookups that found no cell and recomputed",
-);
-pub static SIMCACHE_STALE: Metric = Metric::counter(
-    "ecl.simcache.stale",
-    Stable,
-    "sim-cache cells that existed but failed to parse and were recomputed",
-);
-pub static SIMCACHE_WRITE: Metric = Metric::counter(
-    "ecl.simcache.write",
-    Stable,
-    "sim-cache cells written back after a recompute",
-);
-pub static SIMCACHE_REPLAY: Metric = Metric::counter(
-    "ecl.simcache.replay",
-    Stable,
-    "simulation results replayed from the in-process memo (no store I/O)",
-);
-pub static SIMCACHE_ENTRIES: Metric = Metric::gauge(
-    "ecl.simcache.entries",
-    Stable,
-    "cells currently in the on-disk store",
-);
-pub static SIMCACHE_BYTES: Metric = Metric::gauge(
-    "ecl.simcache.bytes",
-    Stable,
-    "total size of the on-disk store in bytes",
-);
 
 // --- DSU union/find -------------------------------------------------------
 
@@ -92,13 +54,13 @@ pub static DSU_CAS_RETRY: Metric = Metric::counter(
     "union CAS attempts beyond the first (lost races under live threads)",
 );
 
-// --- bench runner / measure_matrix ---------------------------------------
+// --- bench runner (ecl-bench experiments) ------------------------------------
 
 pub static RUNNER_PHASE_SECONDS: Metric = Metric::histogram(
     "ecl.runner.phase_seconds",
     Volatile,
     TIME_BUCKETS,
-    "wall seconds per measure_matrix phase (prepare, simulate, measure)",
+    "wall seconds per runner phase (prepare, simulate, measure)",
 );
 pub static RUNNER_THREADS: Metric = Metric::gauge(
     "ecl.runner.threads",
@@ -228,13 +190,6 @@ pub static TRACE_SIM_US: Metric = Metric::counter(
 
 /// Every registered metric, in declaration (= export) order.
 pub static ALL: &[&Metric] = &[
-    &SIMCACHE_HIT,
-    &SIMCACHE_MISS,
-    &SIMCACHE_STALE,
-    &SIMCACHE_WRITE,
-    &SIMCACHE_REPLAY,
-    &SIMCACHE_ENTRIES,
-    &SIMCACHE_BYTES,
     &DSU_FIND,
     &DSU_FIND_HOP,
     &DSU_COMPRESSION_WRITE,
@@ -279,8 +234,8 @@ mod tests {
         // `ALL` is the export order; a declaration missing from it would
         // silently never export. The registry test in lib.rs checks name
         // hygiene; this one pins the count so additions update both.
-        assert_eq!(ALL.len(), 35, "update ALL (and this count) together");
-        assert!(by_name("ecl.simcache.hit").is_some());
+        assert_eq!(ALL.len(), 28, "update ALL (and this count) together");
+        assert!(by_name("ecl.dsu.cas_retry").is_some());
         assert!(by_name("ecl.nope").is_none());
     }
 }

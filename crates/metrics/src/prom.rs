@@ -4,8 +4,8 @@
 //! `# HELP` / `# TYPE` comment pairs followed by samples, all metrics
 //! included (volatile ones too — scrapes are point-in-time by nature).
 //! Prometheus metric names cannot contain dots, so the stable dotted
-//! names map by replacing `.` with `_` (`ecl.simcache.hit` →
-//! `ecl_simcache_hit`); the dotted form stays the identity everywhere
+//! names map by replacing `.` with `_` (`ecl.graph.builds` →
+//! `ecl_graph_builds`); the dotted form stays the identity everywhere
 //! else. Histograms follow the standard cumulative `_bucket{le="…"}` /
 //! `_sum` / `_count` expansion.
 
@@ -64,16 +64,16 @@ mod tests {
     #[test]
     fn exposition_shape() {
         let ((), snap) = with_metrics(|| {
-            crate::counter!(SIMCACHE_HIT, 4);
-            crate::gauge!(SIMCACHE_ENTRIES, 2.5);
+            crate::counter!(GRAPH_BUILDS, 4);
+            crate::gauge!(DYNAMIC_TREE_CHURN, 2.5);
             crate::histogram!(GRAPH_BUILD_ARCS, 150.0);
             crate::histogram!(GRAPH_BUILD_ARCS, 1e12);
             crate::counter!(DSU_CAS_RETRY, 9); // volatile metrics DO export here
         });
         let text = to_text(&snap);
-        assert!(text.contains("# TYPE ecl_simcache_hit counter"));
-        assert!(text.contains("ecl_simcache_hit 4"));
-        assert!(text.contains("ecl_simcache_entries 2.5"));
+        assert!(text.contains("# TYPE ecl_graph_builds counter"));
+        assert!(text.contains("ecl_graph_builds 4"));
+        assert!(text.contains("ecl_dynamic_tree_churn 2.5"));
         assert!(text.contains("ecl_dsu_cas_retry 9"));
         // Cumulative buckets: 150 ≤ 1e3, so every bound from 1e3 up counts
         // it; +Inf covers both observations.
@@ -81,7 +81,7 @@ mod tests {
         assert!(text.contains("ecl_graph_build_arcs_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("ecl_graph_build_arcs_count 2"));
         assert!(
-            !text.contains("ecl.simcache.hit"),
+            !text.contains("ecl.graph.builds"),
             "dotted names must be mapped"
         );
     }

@@ -1,67 +1,15 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper plus the extra ablations —
 # the analogue of the artifact's run_all_compare.sh / run_all_deoptimize.sh.
-# Outputs land in results/.
+# One `ecl-bench all` process builds the suite once, measures each cell once
+# and writes results/<name>.txt.
 #
 # Usage: ./run_all.sh [--scale tiny|small|medium|large|huge] [--repeats N]
 #
-# Scale values (including huge, 2^24 vertices) are validated up front and
-# passed through to every binary; huge is practical only for the sharded
-# out-of-core cells (`bench_snapshot --sharded huge`), so expect very long
-# in-core sweeps if you pass it here.
+# huge (2^24 vertices) is practical only for the sharded out-of-core cells
+# (`bench_snapshot --sharded huge`); expect a very long sweep if you pass it.
 set -euo pipefail
 cd "$(dirname "$0")"
-ARGS=("$@")
-
-# Fail fast on an unknown --scale instead of letting the first binary die
-# mid-sweep with results/ half-written.
-for ((i = 0; i < ${#ARGS[@]}; i++)); do
-    if [[ "${ARGS[$i]}" == "--scale" ]]; then
-        next="${ARGS[$((i + 1))]:-}"
-        case "$next" in
-        tiny | small | medium | large | huge) ;;
-        *)
-            echo "run_all.sh: unknown --scale '${next:-<missing>}' (valid: tiny|small|medium|large|huge)" >&2
-            exit 2
-            ;;
-        esac
-    fi
-done
-mkdir -p results
-
-# One measurement store per sweep: deterministic simulated cells (and CPU
-# medians of identical cells) measured by one binary are replayed by the
-# later ones instead of recomputed. Cleared up front so every sweep's
-# numbers come from this build.
-export ECL_SIM_CACHE="results/.sim-cache"
-rm -rf "$ECL_SIM_CACHE"
-
-run() {
-    local name=$1; shift
-    echo "== $name =="
-    cargo run --release -p ecl-mst-bench --bin "$name" -- "$@" "${ARGS[@]}" \
-        > "results/$name.txt" 2> >(grep -v '^measuring' >&2 || true)
-}
-
-cargo build --release -p ecl-mst-bench
-
-run table2
-run table3
-run table4
-run table5
-cargo run --release -p ecl-mst-bench --bin fig3_4 -- --system 1 "${ARGS[@]}" > results/fig3.txt 2>/dev/null
-cargo run --release -p ecl-mst-bench --bin fig3_4 -- --system 2 "${ARGS[@]}" > results/fig4.txt 2>/dev/null
-run fig5
-run fig6_seeds
-run fig7_threshold
-run kernel_profile
-run filter_c_sweep
-run warp_threshold_sweep
-run cpu_ladder
-
-# End-of-sweep cache summary: how many distinct cells this build measured
-# (every other evaluation was a replay — per-binary hit lines are on stderr).
-CELLS=$(find "$ECL_SIM_CACHE" -name '*.cell' 2>/dev/null | wc -l)
-echo "sim-cache: $CELLS cells measured once and shared across the sweep"
-
+cargo run --release -p ecl-mst-bench --bin ecl-bench -- all "$@" \
+    2> >(grep -v '^measuring' >&2 || true)
 echo "done — see results/"
