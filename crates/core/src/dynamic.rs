@@ -6,15 +6,18 @@
 //! module keeps a full adjacency plus the current minimum spanning forest
 //! under batched insertions and deletions:
 //!
-//! * **Insert** — a cycle check via the DSU labels decides tree edge vs
-//!   candidate; an edge that closes a cycle still enters the forest when
-//!   it beats the maximum tree edge on the u–v tree path (cycle property).
+//! * **Insert** — one `path_max` query on a link-cut forest
+//!   (`dynamic/link_cut.rs`) answers both questions an insert asks: are
+//!   the endpoints connected, and which tree edge has the largest key on
+//!   the u–v tree path. An edge that joins two trees is linked; one that
+//!   closes a cycle enters the forest only when it beats that maximum
+//!   (cycle property), by a cut and a link. Each step is O(log n)
+//!   amortized.
 //! * **Delete** — removing a non-tree edge is local; removing a tree edge
 //!   floods the smaller side of the cut and picks the lightest surviving
 //!   crossing edge as the replacement (cut property), reusing the
 //!   filter-partition idea from [`crate::filter`] to prune the candidate
-//!   scan. When no replacement exists the component genuinely splits and
-//!   the DSU is rebuilt lazily at the next quiescent point.
+//!   scan. When no replacement exists the component genuinely splits.
 //!
 //! # The edge order, and why rebuild-equivalence holds
 //!
@@ -28,23 +31,19 @@
 //! [`crate::serial_kruskal`] (the `ecl-fuzz --updates` campaign enforces
 //! this after every batch via [`crate::verify_msf`]).
 //!
-//! Batches are the quiescence unit: [`DynamicMsf::apply_batch`] applies
-//! ops in order, then rebuilds the DSU if a split dirtied it and refreshes
-//! the reused flat-label buffer ([`ecl_dsu::AtomicDsu::flat_labels_into`]
-//! is only legal at such points). Each batch records one
-//! `dynamic/apply_batch` trace span and feeds the `ecl.dynamic.*` metrics.
+//! Adjacency rows are unordered; every choice the engine makes takes the
+//! minimum or maximum key, so row order never reaches the result. Each
+//! [`DynamicMsf::apply_batch`] records one `dynamic/apply_batch` trace
+//! span and feeds the `ecl.dynamic.*` metrics.
 //!
 //! See DESIGN.md §18 for the full contract.
 
-use crate::serial::serial_kruskal;
-use ecl_dsu::{AtomicDsu, FindPolicy};
-use ecl_graph::CsrGraph;
-use std::collections::{BTreeMap, VecDeque};
+mod link_cut;
 
-/// Find policy used for all engine-internal DSU queries: the engine is
-/// single-writer, so halving's relaxed compression stores are uncontended
-/// and keep amortized find cost near-constant across batches.
-const POLICY: FindPolicy = FindPolicy::Halving;
+use crate::serial::serial_kruskal;
+use ecl_graph::CsrGraph;
+use link_cut::{Key, LinkCut};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Candidate-set size below which the replacement search key-compares
 /// directly instead of partitioning first (a threshold pass cannot pay for
@@ -86,7 +85,7 @@ pub struct BatchStats {
     pub inserted: usize,
     /// Edges actually removed from the graph.
     pub deleted: usize,
-    /// Inserts that joined two components (new tree edge, DSU union).
+    /// Inserts that joined two components (new tree edge).
     pub links: usize,
     /// Inserts that displaced a heavier tree edge on their cycle.
     pub swaps: usize,
@@ -118,29 +117,21 @@ pub struct BatchStats {
 #[derive(Debug)]
 pub struct DynamicMsf {
     n: usize,
-    /// Full adjacency: `nbrs[u][v] = w` for every live edge, both
-    /// directions. BTreeMaps keep iteration deterministic.
-    nbrs: Vec<BTreeMap<u32, u32>>,
-    /// Forest adjacency, a subset of `nbrs`.
-    tree: Vec<BTreeMap<u32, u32>>,
+    /// Full adjacency: `(v, w)` in row `u` for every live edge, both
+    /// directions, unordered.
+    nbrs: Vec<Vec<(u32, u32)>>,
+    /// Forest adjacency, a subset of `nbrs`: `(v, edge node)` in row `u`,
+    /// where the edge node in `lct` carries the edge's key.
+    tree: Vec<Vec<(u32, u32)>>,
+    /// The forest as a link-cut forest: connectivity and path-max queries.
+    lct: LinkCut,
     num_edges: usize,
     num_tree_edges: usize,
     total_weight: u64,
-    /// Component structure of the forest. Kept current by insert-side
-    /// unions; a delete that splits a component marks it stale (union-find
-    /// cannot un-union) and it is rebuilt lazily from the tree edges.
-    dsu: AtomicDsu,
-    dsu_stale: bool,
-    /// Flat component labels, refreshed from the DSU at each batch
-    /// boundary (the quiescent point `flat_labels_into` requires). The
-    /// buffer is reused across batches — zero steady-state allocation.
-    labels: Vec<u32>,
-    // Reusable search scratch: visit stamps, BFS parents (+ edge weight to
-    // parent), the two flood queues, and the replacement-filter weights.
+    // Reusable search scratch: visit stamps, the two flood queues, and the
+    // replacement-filter weights.
     mark: Vec<u32>,
     stamp: u32,
-    par: Vec<u32>,
-    parw: Vec<u32>,
     qa: Vec<u32>,
     qb: Vec<u32>,
     wscratch: Vec<u32>,
@@ -149,52 +140,67 @@ pub struct DynamicMsf {
 impl DynamicMsf {
     /// Creates an engine over `n` isolated vertices.
     pub fn new(n: usize) -> Self {
-        assert!(n <= u32::MAX as usize, "vertex count exceeds u32 range");
         Self {
             n,
-            nbrs: vec![BTreeMap::new(); n],
-            tree: vec![BTreeMap::new(); n],
+            nbrs: vec![Vec::new(); n],
+            tree: vec![Vec::new(); n],
+            lct: LinkCut::new(n),
             num_edges: 0,
             num_tree_edges: 0,
             total_weight: 0,
-            dsu: AtomicDsu::new(n),
-            dsu_stale: false,
-            labels: (0..n as u32).collect(),
             mark: vec![0; n],
             stamp: 0,
-            par: vec![0; n],
-            parw: vec![0; n],
             qa: Vec::new(),
             qb: Vec::new(),
             wscratch: Vec::new(),
         }
     }
 
-    /// Seeds an engine from a resident CSR graph: the adjacency comes from
-    /// the mutation-friendly [`CsrGraph::edge_list`] view and the initial
-    /// forest from one [`serial_kruskal`] run (construction *is* the
-    /// rebuild the engine is later measured against).
+    /// Seeds an engine from a resident CSR graph: the adjacency is copied
+    /// from the CSR rows and the initial forest comes from one
+    /// [`serial_kruskal`] run (construction *is* the rebuild the engine is
+    /// later measured against).
     pub fn from_graph(g: &CsrGraph) -> Self {
         let mut m = Self::new(g.num_vertices());
-        for (u, v, w) in g.edge_list() {
-            m.nbrs[u as usize].insert(v, w);
-            m.nbrs[v as usize].insert(u, w);
+        for (u, row) in m.nbrs.iter_mut().enumerate() {
+            row.extend(
+                g.arc_range(u as u32)
+                    .map(|a| (g.arc_dst(a), g.arc_weight(a))),
+            );
         }
         m.num_edges = g.num_edges();
         let msf = serial_kruskal(g);
-        for e in g.edges() {
-            if msf.in_mst[e.id as usize] {
-                m.tree[e.src as usize].insert(e.dst, e.weight);
-                m.tree[e.dst as usize].insert(e.src, e.weight);
-            }
+        for e in g.edges().filter(|e| msf.in_mst[e.id as usize]) {
+            let node = m.lct.alloc((e.weight, e.src, e.dst));
+            m.tree[e.src as usize].push((e.dst, node));
+            m.tree[e.dst as usize].push((e.src, node));
         }
         m.num_tree_edges = msf.num_edges;
         m.total_weight = msf.total_weight;
-        m.dsu_stale = true;
-        m.ensure_dsu();
-        let mut labels = std::mem::take(&mut m.labels);
-        m.dsu.flat_labels_into(&mut labels);
-        m.labels = labels;
+        // Root each tree at its first vertex and hang every node from its
+        // BFS parent by a path-parent pointer: O(n), where n - 1 links
+        // would cost O(n log n).
+        let s = m.bump_stamp(1);
+        for root in 0..m.n as u32 {
+            if m.mark[root as usize] == s {
+                continue;
+            }
+            m.mark[root as usize] = s;
+            m.qa.clear();
+            m.qa.push(root);
+            let mut head = 0;
+            while let Some(&x) = m.qa.get(head) {
+                head += 1;
+                for &(y, node) in &m.tree[x as usize] {
+                    if m.mark[y as usize] != s {
+                        m.mark[y as usize] = s;
+                        m.lct.attach(node, x);
+                        m.lct.attach(y, node);
+                        m.qa.push(y);
+                    }
+                }
+            }
+        }
         m
     }
 
@@ -221,43 +227,56 @@ impl DynamicMsf {
     /// Weight of the live edge `{u, v}`, if present.
     pub fn edge_weight(&self, u: u32, v: u32) -> Option<u32> {
         let (a, b) = canon(u, v)?;
-        self.nbrs[a as usize].get(&b).copied()
+        lookup(&self.nbrs, a, b)
     }
 
     /// True when `{u, v}` is currently a forest edge.
     pub fn is_tree_edge(&self, u: u32, v: u32) -> bool {
-        match canon(u, v) {
-            Some((a, b)) => self.tree[a as usize].contains_key(&b),
-            None => false,
-        }
+        canon(u, v).is_some_and(|(a, b)| self.tree_node(a, b).is_some())
     }
 
     /// Every forest edge as a canonical `(u, v, w)` triple with `u < v`,
-    /// in vertex order — directly comparable against a rebuilt
-    /// [`serial_kruskal`] edge set.
+    /// sorted — directly comparable against a rebuilt [`serial_kruskal`]
+    /// edge set.
     pub fn tree_edges(&self) -> Vec<(u32, u32, u32)> {
         let mut out = Vec::with_capacity(self.num_tree_edges);
-        for u in 0..self.n as u32 {
-            for (&v, &w) in &self.tree[u as usize] {
-                if u < v {
-                    out.push((u, v, w));
+        for (u, row) in self.tree.iter().enumerate() {
+            for &(v, node) in row {
+                if (u as u32) < v {
+                    out.push((u as u32, v, self.lct.key(node).0));
                 }
             }
         }
+        out.sort_unstable();
         out
     }
 
-    /// Component labels as of the last batch boundary (every entry is the
-    /// DSU root of its vertex). Mid-batch mutations are not reflected
-    /// until the next [`DynamicMsf::apply_batch`] returns.
-    pub fn labels(&self) -> &[u32] {
-        &self.labels
+    /// Component labels of the current forest: each vertex maps to the
+    /// smallest vertex of its tree. Computed on demand by one O(n) flood
+    /// of the forest adjacency.
+    pub fn labels(&self) -> Vec<u32> {
+        let mut labels = vec![u32::MAX; self.n];
+        let mut stack = Vec::new();
+        for root in 0..self.n as u32 {
+            if labels[root as usize] != u32::MAX {
+                continue;
+            }
+            labels[root as usize] = root;
+            stack.push(root);
+            while let Some(x) = stack.pop() {
+                for &(y, _) in &self.tree[x as usize] {
+                    if labels[y as usize] == u32::MAX {
+                        labels[y as usize] = root;
+                        stack.push(y);
+                    }
+                }
+            }
+        }
+        labels
     }
 
-    /// Applies `ops` in order, then restores quiescence: the DSU is
-    /// rebuilt if a split dirtied it and the flat-label buffer refreshed.
-    /// Records one `dynamic/apply_batch` trace span and the
-    /// `ecl.dynamic.*` metrics.
+    /// Applies `ops` in order. Records one `dynamic/apply_batch` trace
+    /// span and the `ecl.dynamic.*` metrics.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> BatchStats {
         let _span = ecl_trace::range!(wall: "dynamic/apply_batch");
         let mut stats = BatchStats {
@@ -270,31 +289,31 @@ impl DynamicMsf {
                 UpdateOp::Delete { u, v } => self.do_delete(u, v, &mut stats),
             }
         }
-        // Quiescent point: the reused label buffer is only refreshed here,
-        // where every label flat_labels_into produces is a settled root.
-        self.ensure_dsu();
-        let mut labels = std::mem::take(&mut self.labels);
-        self.dsu.flat_labels_into(&mut labels);
-        self.labels = labels;
         ecl_metrics::counter!(DYNAMIC_BATCHES);
         ecl_metrics::gauge!(DYNAMIC_TREE_CHURN, stats.tree_churn as f64);
         stats
     }
 
-    /// Rebuilds the DSU from the tree edges when a split left it stale.
-    fn ensure_dsu(&mut self) {
-        if !self.dsu_stale {
-            return;
-        }
-        self.dsu.reset();
-        for u in 0..self.n as u32 {
-            for &v in self.tree[u as usize].keys() {
-                if u < v {
-                    self.dsu.union(u, v, POLICY);
-                }
-            }
-        }
-        self.dsu_stale = false;
+    /// Edge node of the forest edge `{a, b}`, if it is one.
+    fn tree_node(&self, a: u32, b: u32) -> Option<u32> {
+        lookup(&self.tree, a, b)
+    }
+
+    /// Adds the forest edge `key` to the link-cut forest and both rows.
+    fn link(&mut self, key: Key) {
+        let (_, a, b) = key;
+        let node = self.lct.insert(key);
+        self.tree[a as usize].push((b, node));
+        self.tree[b as usize].push((a, node));
+    }
+
+    /// Removes the forest edge held by `node` from the link-cut forest and
+    /// both rows.
+    fn unlink(&mut self, node: u32) {
+        let (_, a, b) = self.lct.key(node);
+        self.lct.remove(node);
+        remove_entry(&mut self.tree[a as usize], |e| e.1 == node);
+        remove_entry(&mut self.tree[b as usize], |e| e.1 == node);
     }
 
     fn do_insert(&mut self, u: u32, v: u32, w: u32, stats: &mut BatchStats) {
@@ -305,101 +324,62 @@ impl DynamicMsf {
         let Some((a, b)) = canon(u, v) else {
             return; // self-loop, dropped exactly as the builder drops it
         };
-        if let Some(&old) = self.nbrs[a as usize].get(&b) {
+        if let Some(old) = self.edge_weight(a, b) {
             if w >= old {
                 return; // heavier duplicate: the lightest wins, as in dedup
             }
-            self.nbrs[a as usize].insert(b, w);
-            self.nbrs[b as usize].insert(a, w);
-            if let std::collections::btree_map::Entry::Occupied(mut e) =
-                self.tree[a as usize].entry(b)
-            {
-                // Decreasing a tree edge's weight can never evict it.
-                e.insert(w);
-                self.tree[b as usize].insert(a, w);
+            for (x, y) in [(a, b), (b, a)] {
+                let row = &mut self.nbrs[x as usize];
+                let i = row
+                    .iter()
+                    .position(|e| e.0 == y)
+                    .expect("mirrored row entry");
+                row[i].1 = w;
+            }
+            if let Some(node) = self.tree_node(a, b) {
+                // Decreasing a tree edge's weight can never evict it, but
+                // the path aggregates above its node must see the new key.
+                self.lct.set_key(node, (w, a, b));
                 self.total_weight -= (old - w) as u64;
             } else {
                 // A lighter non-tree edge may now displace its cycle max.
-                self.try_swap(a, b, w, stats);
+                let max = self
+                    .lct
+                    .path_max(a, b)
+                    .expect("a live edge's endpoints share a tree");
+                self.try_swap((w, a, b), max, stats);
             }
             return;
         }
-        self.nbrs[a as usize].insert(b, w);
-        self.nbrs[b as usize].insert(a, w);
+        self.nbrs[a as usize].push((b, w));
+        self.nbrs[b as usize].push((a, w));
         self.num_edges += 1;
         stats.inserted += 1;
-        // Cycle check via the DSU labels: distinct roots mean the edge
-        // bridges two components and joins the forest unconditionally.
-        self.ensure_dsu();
-        if self.dsu.find(a, POLICY) != self.dsu.find(b, POLICY) {
-            self.tree[a as usize].insert(b, w);
-            self.tree[b as usize].insert(a, w);
-            self.num_tree_edges += 1;
-            self.total_weight += w as u64;
-            self.dsu.union(a, b, POLICY);
-            stats.links += 1;
-            stats.tree_churn += 1;
-        } else {
-            self.try_swap(a, b, w, stats);
+        match self.lct.path_max(a, b) {
+            // Different trees: the edge joins the forest unconditionally.
+            None => {
+                self.link((w, a, b));
+                self.num_tree_edges += 1;
+                self.total_weight += w as u64;
+                stats.links += 1;
+                stats.tree_churn += 1;
+            }
+            Some(max) => self.try_swap((w, a, b), max, stats),
         }
     }
 
-    /// Cycle-property step for a non-tree edge `(a, b, w)` whose endpoints
-    /// are connected: if its key beats the maximum-key edge on the a–b
+    /// Cycle-property step for a non-tree edge `key` whose endpoints are
+    /// connected: if it beats the maximum-key edge node `max` on their
     /// tree path, swap them (the displaced edge stays in the graph).
-    fn try_swap(&mut self, a: u32, b: u32, w: u32, stats: &mut BatchStats) {
-        let (mw, mu, mv) = self.path_max(a, b);
-        if (w, a, b) < (mw, mu, mv) {
-            self.tree[mu as usize].remove(&mv);
-            self.tree[mv as usize].remove(&mu);
-            self.tree[a as usize].insert(b, w);
-            self.tree[b as usize].insert(a, w);
-            self.total_weight = self.total_weight - mw as u64 + w as u64;
+    fn try_swap(&mut self, key: Key, max: u32, stats: &mut BatchStats) {
+        let max_key = self.lct.key(max);
+        if key < max_key {
+            self.unlink(max);
+            self.link(key);
+            self.total_weight = self.total_weight - max_key.0 as u64 + key.0 as u64;
             stats.swaps += 1;
             stats.tree_churn += 2;
-            // The partition is unchanged: the DSU stays valid as-is.
         }
-    }
-
-    /// Maximum-key edge on the tree path between `a` and `b` (which must
-    /// be in the same component), as a canonical `(w, u, v)` key.
-    fn path_max(&mut self, a: u32, b: u32) -> (u32, u32, u32) {
-        let s = self.bump_stamp(1);
-        self.qa.clear();
-        self.qa.push(a);
-        self.mark[a as usize] = s;
-        self.par[a as usize] = a;
-        let mut head = 0;
-        'bfs: while head < self.qa.len() {
-            let x = self.qa[head];
-            head += 1;
-            for (&y, &wxy) in &self.tree[x as usize] {
-                if self.mark[y as usize] != s {
-                    self.mark[y as usize] = s;
-                    self.par[y as usize] = x;
-                    self.parw[y as usize] = wxy;
-                    if y == b {
-                        break 'bfs;
-                    }
-                    self.qa.push(y);
-                }
-            }
-        }
-        debug_assert_eq!(self.mark[b as usize], s, "path_max endpoints disconnected");
-        let mut best = (0u32, 0u32, 0u32);
-        let mut cur = b;
-        let mut first = true;
-        while cur != a {
-            let p = self.par[cur as usize];
-            let w = self.parw[cur as usize];
-            let key = (w, p.min(cur), p.max(cur));
-            if first || key > best {
-                best = key;
-                first = false;
-            }
-            cur = p;
-        }
-        best
     }
 
     fn do_delete(&mut self, u: u32, v: u32, stats: &mut BatchStats) {
@@ -410,39 +390,35 @@ impl DynamicMsf {
         let Some((a, b)) = canon(u, v) else {
             return;
         };
-        let Some(w) = self.nbrs[a as usize].remove(&b) else {
+        let Some((_, w)) = remove_entry(&mut self.nbrs[a as usize], |e| e.0 == b) else {
             return; // absent edge: no-op
         };
-        self.nbrs[b as usize].remove(&a);
+        remove_entry(&mut self.nbrs[b as usize], |e| e.0 == a);
         self.num_edges -= 1;
         stats.deleted += 1;
-        if self.tree[a as usize].remove(&b).is_none() {
+        let Some(node) = self.tree_node(a, b) else {
             return; // non-tree edge: the forest is untouched
-        }
-        self.tree[b as usize].remove(&a);
+        };
+        self.unlink(node);
         self.num_tree_edges -= 1;
         self.total_weight -= w as u64;
         stats.cuts += 1;
         stats.tree_churn += 1;
-        if let Some((rw, ra, rb)) = self.replacement(a, b, stats) {
-            self.tree[ra as usize].insert(rb, rw);
-            self.tree[rb as usize].insert(ra, rw);
+        if let Some(key) = self.replacement(a, b, stats) {
+            self.link(key);
             self.num_tree_edges += 1;
-            self.total_weight += rw as u64;
+            self.total_weight += key.0 as u64;
             stats.replacements += 1;
             stats.tree_churn += 1;
-            // Replacement reconnects the cut: the partition is unchanged.
-        } else {
-            // The component genuinely split; rebuild the DSU lazily.
-            self.dsu_stale = true;
         }
+        // Without a replacement the component genuinely split.
     }
 
     /// Cut-property step after deleting tree edge `(a, b)`: floods both
     /// sides of the cut in lockstep (cost bounded by the *smaller* side),
     /// then scans the finished side's incident edges for the lightest
-    /// surviving crossing edge. Returns its canonical `(w, u, v)` triple.
-    fn replacement(&mut self, a: u32, b: u32, stats: &mut BatchStats) -> Option<(u32, u32, u32)> {
+    /// surviving crossing edge. Returns its canonical `(w, u, v)` key.
+    fn replacement(&mut self, a: u32, b: u32, stats: &mut BatchStats) -> Option<Key> {
         let sa = self.bump_stamp(2);
         let sb = sa + 1;
         self.qa.clear();
@@ -460,7 +436,7 @@ impl DynamicMsf {
             }
             let x = self.qa[ha];
             ha += 1;
-            for &y in self.tree[x as usize].keys() {
+            for &(y, _) in &self.tree[x as usize] {
                 if self.mark[y as usize] != sa {
                     self.mark[y as usize] = sa;
                     self.qa.push(y);
@@ -471,7 +447,7 @@ impl DynamicMsf {
             }
             let x = self.qb[hb];
             hb += 1;
-            for &y in self.tree[x as usize].keys() {
+            for &(y, _) in &self.tree[x as usize] {
                 if self.mark[y as usize] != sb {
                     self.mark[y as usize] = sb;
                     self.qb.push(y);
@@ -479,15 +455,15 @@ impl DynamicMsf {
             }
         };
         let side = if side_stamp == sa { &self.qa } else { &self.qb };
-        // Every non-tree edge connects vertices of one component, so an
-        // incident edge leaving the finished side must cross the cut.
-        let mut cands: Vec<(u32, u32, u32)> = Vec::new();
+        // Every non-tree edge connects vertices of one component, and every
+        // tree edge of a finished side stays inside it, so an incident edge
+        // leaving the side must be a non-tree edge across the cut.
+        let mut cands: Vec<Key> = Vec::new();
         for &x in side {
-            for (&y, &wxy) in &self.nbrs[x as usize] {
-                if self.mark[y as usize] == side_stamp || self.tree[x as usize].contains_key(&y) {
-                    continue;
+            for &(y, wxy) in &self.nbrs[x as usize] {
+                if self.mark[y as usize] != side_stamp {
+                    cands.push((wxy, x.min(y), x.max(y)));
                 }
-                cands.push((wxy, x.min(y), x.max(y)));
             }
         }
         stats.candidates_scanned += cands.len();
@@ -505,6 +481,26 @@ impl DynamicMsf {
         self.stamp += by;
         self.stamp - by + 1
     }
+}
+
+/// The payload of the `{a, b}` entry in `rows`, found by scanning the
+/// shorter of the two endpoint rows.
+fn lookup(rows: &[Vec<(u32, u32)>], a: u32, b: u32) -> Option<u32> {
+    let (x, y) = if rows[a as usize].len() <= rows[b as usize].len() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    rows[x as usize].iter().find(|e| e.0 == y).map(|e| e.1)
+}
+
+/// Swap-removes and returns the first entry of `row` matching `hit`.
+fn remove_entry(
+    row: &mut Vec<(u32, u32)>,
+    hit: impl Fn(&(u32, u32)) -> bool,
+) -> Option<(u32, u32)> {
+    let i = row.iter().position(hit)?;
+    Some(row.swap_remove(i))
 }
 
 /// Canonical `(min, max)` endpoint pair; `None` for self-loops.
@@ -633,6 +629,17 @@ mod tests {
     use ecl_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes every test that applies batches: `with_metrics` opens a
+    /// process-wide recording gate, so a batch applied by a concurrently
+    /// running sibling test would record into its session.
+    static BATCH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn batch_lock() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the guarded value is `()`.
+        BATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Builds the CSR graph of a live-edge model.
     fn rebuild(n: usize, model: &BTreeMap<(u32, u32), u32>) -> CsrGraph {
@@ -681,6 +688,7 @@ mod tests {
 
     #[test]
     fn insert_links_and_swaps() {
+        let _lock = batch_lock();
         let mut m = DynamicMsf::new(4);
         let s = m.apply_batch(&[
             UpdateOp::Insert { u: 0, v: 1, w: 4 },
@@ -698,6 +706,7 @@ mod tests {
 
     #[test]
     fn delete_finds_replacement() {
+        let _lock = batch_lock();
         let mut m = DynamicMsf::new(4);
         m.apply_batch(&[
             UpdateOp::Insert { u: 0, v: 1, w: 1 },
@@ -718,6 +727,7 @@ mod tests {
 
     #[test]
     fn delete_without_replacement_splits() {
+        let _lock = batch_lock();
         let mut m = DynamicMsf::new(4);
         m.apply_batch(&[
             UpdateOp::Insert { u: 0, v: 1, w: 1 },
@@ -730,7 +740,7 @@ mod tests {
         let l = m.labels();
         assert_ne!(l[0], l[1], "component must have split");
         assert_eq!(l[1], l[2]);
-        // Re-linking works after the lazy DSU rebuild.
+        // Re-linking joins the split halves again.
         let s = m.apply_batch(&[UpdateOp::Insert { u: 0, v: 2, w: 7 }]);
         assert_eq!(s.links, 1);
         assert_eq!(m.labels()[0], m.labels()[1]);
@@ -738,6 +748,7 @@ mod tests {
 
     #[test]
     fn duplicate_keeps_lightest_and_self_loops_drop() {
+        let _lock = batch_lock();
         let mut m = DynamicMsf::new(3);
         let mut model = BTreeMap::new();
         let ops = [
@@ -758,6 +769,7 @@ mod tests {
 
     #[test]
     fn lighter_duplicate_can_enter_the_tree() {
+        let _lock = batch_lock();
         // Triangle where the non-tree edge becomes the lightest.
         let mut m = DynamicMsf::new(3);
         m.apply_batch(&[
@@ -773,6 +785,7 @@ mod tests {
 
     #[test]
     fn deleting_absent_and_non_tree_edges_is_cheap() {
+        let _lock = batch_lock();
         let mut m = DynamicMsf::new(3);
         m.apply_batch(&[
             UpdateOp::Insert { u: 0, v: 1, w: 1 },
@@ -790,6 +803,7 @@ mod tests {
 
     #[test]
     fn randomized_batches_stay_rebuild_equivalent() {
+        let _lock = batch_lock();
         let mut rng = StdRng::seed_from_u64(42);
         let n = 40usize;
         let mut m = DynamicMsf::new(n);
@@ -834,6 +848,7 @@ mod tests {
 
     #[test]
     fn replacement_filter_partition_agrees_with_plain_min() {
+        let _lock = batch_lock();
         // Force the filtered path (>= FILTER_MIN_CANDIDATES candidates):
         // a long path 0-1-...-k plus many crossing edges over one cut.
         let n = 200usize;
@@ -870,6 +885,7 @@ mod tests {
 
     #[test]
     fn sliding_window_tracks_the_live_suffix() {
+        let _lock = batch_lock();
         // Window of 4 over a stream with duplicates: the engine must
         // always equal a rebuild of the last-4-items edge multiset.
         let stream: Vec<(u32, u32, u32)> = vec![
@@ -903,6 +919,7 @@ mod tests {
 
     #[test]
     fn batch_metrics_feed_the_registry() {
+        let _lock = batch_lock();
         let ((), snap) = ecl_metrics::with_metrics(|| {
             let mut m = DynamicMsf::new(4);
             m.apply_batch(&[
@@ -929,6 +946,7 @@ mod tests {
 
     #[test]
     fn apply_batch_emits_a_trace_span() {
+        let _lock = batch_lock();
         let ((), session) = ecl_trace::with_trace(|| {
             let mut m = DynamicMsf::new(2);
             m.apply_batch(&[UpdateOp::Insert { u: 0, v: 1, w: 1 }]);
@@ -937,5 +955,120 @@ mod tests {
             session.chrome_trace().contains("dynamic/apply_batch"),
             "batch span missing from trace"
         );
+    }
+
+    /// Reference path-max over forest rows of `(neighbor, edge node)`: BFS
+    /// from `a`, then walk the BFS parents back from `b`. O(component) per
+    /// query; the oracle the link-cut forest is checked against.
+    fn bfs_path_max(
+        tree: &[Vec<(u32, u32)>],
+        key: impl Fn(u32) -> Key,
+        a: u32,
+        b: u32,
+    ) -> Option<u32> {
+        let mut par: Vec<Option<(u32, u32)>> = vec![None; tree.len()];
+        let mut seen = vec![false; tree.len()];
+        seen[a as usize] = true;
+        let mut queue = VecDeque::from([a]);
+        while let Some(x) = queue.pop_front() {
+            if x == b {
+                break;
+            }
+            for &(y, node) in &tree[x as usize] {
+                if !seen[y as usize] {
+                    seen[y as usize] = true;
+                    par[y as usize] = Some((x, node));
+                    queue.push_back(y);
+                }
+            }
+        }
+        if !seen[b as usize] {
+            return None;
+        }
+        let mut best: Option<u32> = None;
+        let mut cur = b;
+        while let Some((p, node)) = par[cur as usize] {
+            if best.is_none_or(|m| key(node) > key(m)) {
+                best = Some(node);
+            }
+            cur = p;
+        }
+        best
+    }
+
+    #[test]
+    fn link_cut_forest_matches_the_bfs_oracle() {
+        // Random link / cut / key-decrease sequences; every step first
+        // checks the link-cut path-max (and connectivity) against the BFS.
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 48usize;
+            let mut lct = LinkCut::new(n);
+            let mut tree: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+            let mut keys: BTreeMap<u32, Key> = BTreeMap::new();
+            for _ in 0..3000 {
+                let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                let Some((a, b)) = canon(a, b) else {
+                    continue;
+                };
+                let want = bfs_path_max(&tree, |e| keys[&e], a, b);
+                assert_eq!(lct.path_max(a, b), want, "seed {seed}: path max of {a}-{b}");
+                match rng.gen_range(0..3u32) {
+                    0 if want.is_none() => {
+                        let key = (rng.gen_range(0..100u32), a, b);
+                        let e = lct.insert(key);
+                        keys.insert(e, key);
+                        tree[a as usize].push((b, e));
+                        tree[b as usize].push((a, e));
+                    }
+                    1 if !keys.is_empty() => {
+                        let i = rng.gen_range(0..keys.len());
+                        let (&e, &(_, u, v)) = keys.iter().nth(i).expect("non-empty");
+                        lct.remove(e);
+                        keys.remove(&e);
+                        tree[u as usize].retain(|x| x.1 != e);
+                        tree[v as usize].retain(|x| x.1 != e);
+                    }
+                    2 if !keys.is_empty() => {
+                        let i = rng.gen_range(0..keys.len());
+                        let (&e, &(w, u, v)) = keys.iter().nth(i).expect("non-empty");
+                        let key = (rng.gen_range(0..=w), u, v);
+                        lct.set_key(e, key);
+                        keys.insert(e, key);
+                    }
+                    _ => {}
+                }
+                for (&e, &key) in &keys {
+                    assert_eq!(lct.key(e), key);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_path_chords_at_both_ends() {
+        let _lock = batch_lock();
+        // A 2^14-vertex path seeded in one piece hangs 2^15 path-parent
+        // pointers deep; chords between its two ends close cycles through
+        // the whole path, and short chords at either end close tiny ones.
+        let n = 1u32 << 14;
+        let path_w = |i: u32| (i.wrapping_mul(7919) % 1000) + 1;
+        let mut model: BTreeMap<(u32, u32), u32> =
+            (0..n - 1).map(|i| ((i, i + 1), path_w(i))).collect();
+        let mut m = DynamicMsf::from_graph(&rebuild(n as usize, &model));
+        let mut chords = Vec::new();
+        for i in 0..32u32 {
+            chords.push((i, n - 1 - i, 900 + i));
+            chords.push((i, i + 2, 500 + i));
+            chords.push((n - 3 - i, n - 1 - i, 500 + i));
+        }
+        for (a, b, w) in chords {
+            let want = bfs_path_max(&m.tree, |e| m.lct.key(e), a, b);
+            assert_eq!(m.lct.path_max(a, b), want, "path max of {a}-{b}");
+            let op = UpdateOp::Insert { u: a, v: b, w };
+            model_apply(&mut model, op);
+            m.apply_batch(&[op]);
+        }
+        assert_rebuild_equivalent(&m, &model);
     }
 }

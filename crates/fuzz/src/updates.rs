@@ -187,7 +187,7 @@ fn check_state(engine: &DynamicMsf, model: &BTreeMap<(u32, u32), u32>) -> Result
         ));
     }
     verify_msf(&g, &r)?;
-    // The batch-boundary labels must partition exactly like the forest:
+    // The component labels must partition exactly like the forest:
     // endpoints of every tree edge agree, and the number of distinct
     // labels is n - |forest|.
     let labels = engine.labels();
@@ -196,7 +196,7 @@ fn check_state(engine: &DynamicMsf, model: &BTreeMap<(u32, u32), u32>) -> Result
             return Err(format!("tree edge ({u},{v}) spans two labels"));
         }
     }
-    let mut distinct: Vec<u32> = labels.to_vec();
+    let mut distinct = labels;
     distinct.sort_unstable();
     distinct.dedup();
     if distinct.len() != engine.num_vertices() - engine.num_tree_edges() {

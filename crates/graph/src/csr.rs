@@ -212,9 +212,9 @@ impl CsrGraph {
     }
 
     /// Materializes every undirected edge as a canonical `(u, v, w)`
-    /// triple with `u < v`, in vertex order — the mutation-friendly view
-    /// consumers that outlive the CSR (e.g. the dynamic MSF engine) seed
-    /// their own adjacency from, without borrowing the graph.
+    /// triple with `u < v`, in vertex order — the owned view consumers
+    /// that outlive the CSR (e.g. the in-memory shard source) build from,
+    /// without borrowing the graph.
     pub fn edge_list(&self) -> Vec<(VertexId, VertexId, Weight)> {
         let mut out = Vec::with_capacity(self.num_edges());
         out.extend(self.edges().map(|e| (e.src, e.dst, e.weight)));
