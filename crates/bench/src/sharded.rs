@@ -20,9 +20,9 @@ use ecl_mst::{serial_kruskal, sharded_msf, ShardedConfig};
 
 use crate::runner::{peak_rss_bytes, reset_peak_rss, wall};
 
-/// Shard count per scale: enough shards that no single shard's working set
-/// dominates the merge tree, without drowning small inputs in fixed
-/// per-shard costs.
+/// Shard count per scale: enough shards that one shard per worker stays
+/// small next to the light pass's buffer, without drowning small inputs in
+/// fixed per-shard costs.
 pub fn default_shards(scale: SuiteScale) -> usize {
     match scale {
         SuiteScale::Tiny | SuiteScale::Small => 4,
@@ -37,8 +37,9 @@ pub fn default_shards(scale: SuiteScale) -> usize {
 /// Derived from measured `VmHWM` of the spilling pipeline on the r4 twin
 /// (BENCH_6.json `sharded` block: ~110 MiB at Large, ~900 MiB at Huge)
 /// with at least 2× headroom for allocator and platform variance. The point is
-/// the *shape*: the budget grows with the survivor working set (O(n) at
-/// the final merge), not with the edge count — a monolithic build of the
+/// the *shape*: the budget grows with the vertex count (the light pass's
+/// 2.25·n-edge buffer, the DSU and the forest are all O(n)) plus one
+/// shard per worker, not with the edge count — a monolithic build of the
 /// Huge twin needs several times this much just for its edge list
 /// (~1.5 GiB of raw triples before the CSR and the packed sort keys).
 pub fn rss_budget_bytes(scale: SuiteScale) -> u64 {
@@ -70,11 +71,11 @@ pub struct ShardedCell {
     pub parity: Option<bool>,
     /// Forest edges in the final merged MSF.
     pub forest_edges: usize,
-    /// Total stage-1 survivor edges across shards.
+    /// Heavy-pass survivor edges across shards (the runs the merge reads).
     pub survivor_edges: u64,
-    /// Hierarchical merge levels run.
+    /// 1 when two or more shard runs were merged, else 0.
     pub merge_rounds: u32,
-    /// Bytes written to survivor spill files.
+    /// Bytes written to survivor run files.
     pub spill_bytes: u64,
     /// `VmHWM` after the sharded solve, reset immediately before it.
     pub peak_rss_bytes: u64,

@@ -118,9 +118,9 @@ pub fn registry() -> Vec<Backend> {
         gunrock_gpu(g, GpuProfile::TITAN_V).map(|r| r.result)
     }));
     // The sharded out-of-core pipeline, fed the fuzz graph's own edge list
-    // re-sharded: four shards solved in parallel in memory, and three
-    // shards spilling survivor files — both must be bit-identical to every
-    // in-core code on every generated case.
+    // re-sharded: four shards in memory, and three shards spilling their
+    // survivor runs — both must be bit-identical to every in-core code on
+    // every generated case.
     v.push(Backend::msf("cpu/sharded", |g| {
         let src = ecl_graph::InMemoryShards::new(g.num_vertices(), g.edge_list());
         sharded_msf(&src, &ShardedConfig::in_memory(4))
@@ -128,8 +128,13 @@ pub fn registry() -> Vec<Backend> {
             .to_mst_result(g)
     }));
     v.push(Backend::msf("cpu/sharded-spill", |g| {
+        // A directory per call: parallel test threads run this backend at
+        // once, and each call removes its directory when it is done.
+        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let src = ecl_graph::InMemoryShards::new(g.num_vertices(), g.edge_list());
-        let dir = std::env::temp_dir().join(format!("ecl-fuzz-shard-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("ecl-fuzz-shard-{}-{call}", std::process::id()));
         let cfg = ShardedConfig::spilling(3, &dir);
         let r = sharded_msf(&src, &cfg).forest.to_mst_result(g);
         std::fs::remove_dir_all(&dir).ok();

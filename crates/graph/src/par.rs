@@ -90,6 +90,21 @@ pub fn par_map<T: Sync, R: Send + Sync>(items: &[T], f: impl Fn(usize, &T) -> R 
         .collect()
 }
 
+/// [`par_map`] over consecutive batches of [`max_threads`] items, handing
+/// every result to `consume` on the calling thread, in item order, before
+/// the next batch starts: at most one batch of results is alive at a time,
+/// and `consume` sees the same sequence at any thread budget.
+pub fn par_map_batched<T: Sync, R: Send + Sync>(
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+    consume: impl FnMut(R),
+) {
+    items
+        .chunks(max_threads())
+        .flat_map(|batch| par_map(batch, |_, x| f(x)))
+        .for_each(consume);
+}
+
 /// [`par_map`] over the chunking of `0..total`: `f` receives each range and
 /// the results come back in range order.
 pub fn run_chunks<R: Send + Sync>(
@@ -128,5 +143,18 @@ mod tests {
         let serial = with_serial_input(|| par_map(&items, |i, &x| x * 2 + i as u64));
         assert_eq!(threaded, serial);
         assert_eq!(threaded[500], 1500);
+    }
+
+    #[test]
+    fn par_map_batched_consumes_in_item_order() {
+        let items: Vec<u64> = (0..37).collect();
+        let run = || {
+            let mut seen = Vec::new();
+            par_map_batched(&items, |&x| x * 3, |r| seen.push(r));
+            seen
+        };
+        let threaded = run();
+        assert_eq!(threaded, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(with_serial_input(run), threaded);
     }
 }

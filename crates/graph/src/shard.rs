@@ -47,8 +47,8 @@ pub trait EdgeShards: Sync {
     /// Emits shard `k` of `of`. Panics when `of == 0` or `k >= of`.
     fn shard(&self, k: usize, of: usize) -> Vec<ShardTriple>;
 
-    /// Upper bound on the total emission count across all shards (used for
-    /// shard-count heuristics and logging, never for correctness).
+    /// Upper bound on the total emission count across all shards (used to
+    /// size buffers and for logging, never for correctness).
     fn approx_edges(&self) -> usize;
 }
 

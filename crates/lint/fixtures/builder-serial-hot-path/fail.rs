@@ -1,21 +1,16 @@
 //! Fixture: a serial sort and a bare loop on the hot paths.
-fn solve_triples(mut edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    edges.sort_unstable();
-    finish(edges)
+fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Option<Wuv>) {
+    finish(src)
 }
 
-fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    finish(edges)
+fn shard_survivors(shard: Vec<ShardTriple>, bound: Wuv) -> Vec<Wuv> {
+    let mut heavy = keep_heavy(shard, bound);
+    heavy.sort_unstable();
+    heavy
 }
 
-fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
-    let mut out = Vec::new();
+fn joins(sorted: Vec<Wuv>, dsu: &mut SeqDsu) {
     for e in sorted {
-        out.push(*e);
+        dsu.union(e.1, e.2);
     }
-    out
-}
-
-fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
-    finish(verts)
 }

@@ -1,25 +1,22 @@
 //! Fixture: all loops and sorts run inside par:: helper spans.
-fn solve_triples(mut edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    edges.par_sort_unstable();
-    let parts = par::run_chunks(edges.len(), 1 << 16, |r| {
+fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Option<Wuv>) {
+    let shards = par::par_map(&idx, |_, &i| {
         let mut part = Vec::new();
-        for i in r {
-            part.push(key(edges[i]));
+        for e in src.shard(i, k) {
+            part.push(key(e));
         }
         part.sort_unstable();
         part
     });
-    finish(parts)
+    finish(shards)
 }
 
-fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    finish(edges)
+fn shard_survivors(shard: Vec<ShardTriple>, bound: Wuv) -> Vec<Wuv> {
+    let mut heavy = keep_heavy(shard, bound);
+    heavy.par_sort_unstable();
+    heavy
 }
 
-fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
+fn joins(sorted: Vec<Wuv>, dsu: &mut SeqDsu) {
     finish(sorted)
-}
-
-fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
-    finish(verts)
 }

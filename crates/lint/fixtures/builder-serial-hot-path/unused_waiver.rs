@@ -1,22 +1,18 @@
 //! Fixture: the covered loop needs no waiver, so the waiver is an error.
-fn solve_triples(edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    let parts = par::run_chunks(edges.len(), 1 << 16, |r| {
+fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Option<Wuv>) {
+    let shards = par::par_map(&idx, |_, &i| {
         // ecl-lint: allow(builder-serial-hot-path) covered already
-        for i in r {
-            consume(edges[i]);
+        for e in src.shard(i, k) {
+            consume(e);
         }
     });
-    finish(parts)
+    finish(shards)
 }
 
-fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    finish(edges)
+fn shard_survivors(shard: Vec<ShardTriple>, bound: Wuv) -> Vec<Wuv> {
+    keep_heavy(shard, bound)
 }
 
-fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
+fn joins(sorted: Vec<Wuv>, dsu: &mut SeqDsu) {
     finish(sorted)
-}
-
-fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
-    finish(verts)
 }

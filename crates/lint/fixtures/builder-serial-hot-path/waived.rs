@@ -1,23 +1,18 @@
 //! Fixture: waivers consume both hot-path findings.
-fn solve_triples(mut edges: Vec<ShardTriple>) -> Vec<Wuv> {
+fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Option<Wuv>) {
+    finish(src)
+}
+
+fn shard_survivors(shard: Vec<ShardTriple>, bound: Wuv) -> Vec<Wuv> {
+    let mut heavy = keep_heavy(shard, bound);
     // ecl-lint: allow(builder-serial-hot-path) fixture: tiny fixed-size sort
-    edges.sort_unstable();
-    finish(edges)
+    heavy.sort_unstable();
+    heavy
 }
 
-fn solve_dense(edges: Vec<ShardTriple>) -> Vec<Wuv> {
-    finish(edges)
-}
-
-fn scan_forest(sorted: &[Wuv], dsu_n: usize) -> Vec<Wuv> {
-    let mut out = Vec::new();
+fn joins(sorted: Vec<Wuv>, dsu: &mut SeqDsu) {
     // ecl-lint: allow(builder-serial-hot-path) fixture: order-dependent scan
     for e in sorted {
-        out.push(*e);
+        dsu.union(e.1, e.2);
     }
-    out
-}
-
-fn scatter_table(verts: &[VertexId]) -> Vec<u32> {
-    finish(verts)
 }

@@ -6,11 +6,13 @@
 //! version replaced. Deliberate serial steps carry a waiver
 //! (`lint-metering: serial-ok` or `ecl-lint: allow(builder-serial-hot-path)`).
 //!
-//! Registered hot paths: the sharded MSF module's shard-merge kernels —
-//! `solve_triples` (route dispatch + total-order sort), `solve_dense` (the
-//! packed SWAR filter split), `scan_forest` (the greedy DSU scan — serial by
-//! nature, carries a waiver), and `scatter_table` (the O(nloc) remap fill,
-//! waived). The name is historical: waivers in the tree spell it.
+//! Registered hot paths: the sharded MSF module's kernels —
+//! `lightest_edges` (the light pass: concurrent shard reads, then one
+//! bounded selection in shard order, whose loop is serial and waived),
+//! `shard_survivors` (the heavy pass's per-shard filter, sort and
+//! contracted solve) and `joins` (the greedy step every scan applies
+//! through `retain` or `filter`). The name is historical: waivers in the
+//! tree spell it.
 
 use crate::{Ctx, Rule, Workspace};
 
@@ -20,12 +22,7 @@ const SHARDED_FILE: &str = "crates/core/src/sharded.rs";
 /// Hot functions under guard in [`SHARDED_FILE`]. If the file is present,
 /// a missing hot function is a file-level error — the function was renamed
 /// and the guard must follow it.
-const HOT_FNS: &[&str] = &[
-    "solve_triples",
-    "solve_dense",
-    "scan_forest",
-    "scatter_table",
-];
+const HOT_FNS: &[&str] = &["lightest_edges", "shard_survivors", "joins"];
 
 /// Parallel-helper callees; loops and sorts inside their argument spans run
 /// chunked under the pool and are fine.
@@ -39,7 +36,7 @@ impl Rule for BuilderSerialHotPath {
     }
     fn description(&self) -> &'static str {
         "no serial `for` loops or `.sort_unstable(` on the registered parallel hot paths \
-         (shard-merge kernels) outside the par:: helper spans"
+         (sharded MSF kernels) outside the par:: helper spans"
     }
     fn scope(&self) -> &'static [&'static str] {
         &[SHARDED_FILE]

@@ -5,7 +5,7 @@
 //! | `host-access-in-launch`    | no unmetered host accessors inside kernel launch spans |
 //! | `trace-range-in-launch`    | no trace ranges opened inside kernel launch spans |
 //! | `trace-range-balance`      | raw `open_range`/`close_range` pairs balance per file |
-//! | `builder-serial-hot-path`  | no serial loops/sorts on the sharded shard-merge kernels |
+//! | `builder-serial-hot-path`  | no serial loops/sorts on the sharded MSF kernels |
 //! | `swar-chunk-shape`         | loops in blessed SWAR kernels iterate the chunk pipeline |
 //! | `hash-iteration-order`     | no hash-map/set iteration order leaking into results |
 //! | `thread-count-dependence`  | thread-budget reads confined to the blessed par helpers |

@@ -132,22 +132,22 @@ pub static DYNAMIC_TREE_CHURN: Metric = Metric::gauge(
 pub static SHARD_SHARDS: Metric = Metric::counter(
     "ecl.shard.shards",
     Stable,
-    "edge-stream shards solved by the out-of-core stage-1 pass",
+    "edge-stream shards each pass of the out-of-core MSF reads",
 );
 pub static SHARD_SURVIVOR_EDGES: Metric = Metric::counter(
     "ecl.shard.survivor_edges",
     Stable,
-    "per-shard MSF survivor edges kept after stage 1 (<= n-1 per shard)",
+    "heavy edges the per-shard contracted solves keep for the merge",
 );
 pub static SHARD_SPILL_BYTES: Metric = Metric::counter(
     "ecl.shard.spill_bytes",
     Stable,
-    "bytes written to survivor spill files by the external-memory mode",
+    "bytes written to survivor run files by the external-memory mode",
 );
 pub static SHARD_MERGE_ROUNDS: Metric = Metric::counter(
     "ecl.shard.merge_rounds",
     Stable,
-    "hierarchical Boruvka merge rounds until one forest remained",
+    "1 when the k-way merge combined two or more shard runs, else 0",
 );
 pub static SHARD_PEAK_RSS_BYTES: Metric = Metric::gauge(
     "ecl.shard.peak_rss_bytes",

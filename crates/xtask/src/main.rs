@@ -61,7 +61,7 @@ fn usage() {
          \u{20}                 the historical subset: unmetered host accessors and\n\
          \u{20}                 trace ranges inside kernel launch closures, unbalanced\n\
          \u{20}                 open_range/close_range pairs, serial loops/sorts on the\n\
-         \u{20}                 sharded shard-merge kernels, and non-chunked loops in\n\
+         \u{20}                 sharded MSF kernels, and non-chunked loops in\n\
          \u{20}                 the blessed SWAR kernels"
     );
     eprintln!(
