@@ -7,11 +7,12 @@
 //! Uses the same disjoint-set substrate as ECL-MST (the paper notes the
 //! shared design) but is vertex-centric and rescans the original graph every
 //! round — the structural differences ECL-MST's §5.3 ablation isolates.
+//! Both parts run as plain loops on one thread; threading them is open
+//! work.
 
 use ecl_dsu::{AtomicDsu, FindPolicy};
 use ecl_graph::CsrGraph;
 use ecl_mst::{unpack, MstResult, EMPTY};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Computes the MSF with component-loop Borůvka.
@@ -58,7 +59,7 @@ pub fn lonestar_cpu(g: &CsrGraph) -> MstResult {
         // Part 1 (read-only): every vertex offers its lightest
         // cross-component edge to its component representative.
         let progressed = AtomicBool::new(false);
-        (0..n as u32).into_par_iter().for_each(|v| {
+        (0..n as u32).for_each(|v| {
             if dead[v as usize].load(Ordering::Relaxed) {
                 return;
             }
@@ -85,7 +86,7 @@ pub fn lonestar_cpu(g: &CsrGraph) -> MstResult {
         // Part 2: each representative merges along its recorded edge,
         // lock-free. Distinct components may record the same edge (both of
         // its endpoints); the double union is idempotent.
-        (0..n as u32).into_par_iter().for_each(|r| {
+        (0..n as u32).for_each(|r| {
             // Part 1 keys `min_edge` by the snapshot labels, so only a
             // snapshot representative can hold a candidate — skip the
             // atomic swap (a write per vertex per round) for everyone else.

@@ -17,11 +17,14 @@
 //! `id -> endpoints` side table instead of `(val, u, v)` tuples: the sort
 //! keys are 8 bytes rather than 16, and the packed order equals the tuple
 //! order because packed values are unique per edge.
+//!
+//! The prefix and remainder sorts run on threads through
+//! [`ecl_graph::par`]; the reservation rounds run as plain loops on one
+//! thread, and threading them is open work.
 
 use ecl_dsu::{AtomicDsu, FindPolicy, SeqDsu};
-use ecl_graph::CsrGraph;
+use ecl_graph::{par, CsrGraph};
 use ecl_mst::{pack, unpack, MstResult};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Block size for the speculative-for over sorted edges.
@@ -119,7 +122,7 @@ pub fn pbbs_parallel(g: &CsrGraph) -> MstResult {
         }
     }
     drop(vals);
-    light.par_sort_unstable();
+    par::par_sort_unstable(&mut light);
 
     let reservations: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     let dsu = AtomicDsu::new(n);
@@ -137,7 +140,7 @@ pub fn pbbs_parallel(g: &CsrGraph) -> MstResult {
             let (u, v) = endpoints[unpack(val).1 as usize];
             dsu.find(u, FIND) != dsu.find(v, FIND)
         });
-        heavy.par_sort_unstable();
+        par::par_sort_unstable(&mut heavy);
         process_sorted(&heavy, &endpoints, &dsu, &reservations, &marked, &unions);
     }
 
@@ -160,8 +163,6 @@ fn process_sorted(
     marked: &[AtomicBool],
     unions: &AtomicUsize,
 ) {
-    /// Below this many live edges, rayon dispatch costs more than the work.
-    const PAR_CUTOFF: usize = 2048;
     let spanning = reservations.len().saturating_sub(1);
     for block in sorted.chunks(BLOCK) {
         if unions.load(Ordering::Acquire) >= spanning {
@@ -210,17 +211,9 @@ fn process_sorted(
                 reservations[dsu.find(u, FIND) as usize].store(u64::MAX, Ordering::Release);
                 reservations[dsu.find(v, FIND) as usize].store(u64::MAX, Ordering::Release);
             };
-            let survivors: Vec<(u64, u32, u32, u32)> = if live.len() >= PAR_CUTOFF {
-                live.par_iter().for_each(reserve);
-                let s = live.par_iter().filter_map(commit).collect();
-                live.par_iter().for_each(reset);
-                s
-            } else {
-                live.iter().for_each(reserve);
-                let s = live.iter().filter_map(commit).collect();
-                live.iter().for_each(reset);
-                s
-            };
+            live.iter().for_each(reserve);
+            let survivors = live.iter().filter_map(commit).collect();
+            live.iter().for_each(reset);
             live = survivors;
         }
     }

@@ -8,11 +8,11 @@
 //! supervertices, and **rebuild the whole edge list** — the per-round
 //! reconstruction cost ECL-MST avoids by never creating new graphs.
 //!
-//! The host version ([`uminho_cpu`]) runs each round as fused serial loops:
-//! the vendored rayon shim runs `par_iter` on one thread, and the original's
-//! one-pass-per-step shape took about 1.3× as long on the Medium suite for
-//! the same forests. [`uminho_gpu`] keeps the original's data-parallel
-//! kernels on the simulator.
+//! The host version ([`uminho_cpu`]) runs each round as fused serial loops
+//! on one thread: the original's one-pass-per-step shape took about 1.3×
+//! as long on the Medium suite for the same forests. Threading it is open
+//! work. [`uminho_gpu`] keeps the original's data-parallel kernels on the
+//! simulator.
 
 use crate::GpuBaselineRun;
 use ecl_gpu_sim::{sanitize, with_scratch, ConstBuf, Device, GpuProfile};

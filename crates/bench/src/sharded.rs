@@ -46,7 +46,7 @@ pub fn rss_budget_bytes(scale: SuiteScale) -> u64 {
     const MIB: u64 = 1 << 20;
     match scale {
         // Small scales are dominated by fixed process overhead (binary,
-        // rayon pool, suite tables), not the pipeline.
+        // worker thread stacks, suite tables), not the pipeline.
         SuiteScale::Tiny | SuiteScale::Small => 256 * MIB,
         SuiteScale::Medium => 384 * MIB,
         SuiteScale::Large => 512 * MIB,

@@ -619,15 +619,6 @@ pub fn ecl_mst_gpu_with(g: &CsrGraph, cfg: &OptConfig, profile: GpuProfile) -> G
     run_on(&mut dev, g, cfg)
 }
 
-/// Runs ECL-MST with the simulator forced into sequential (single-lane)
-/// execution — deterministic task order regardless of the host thread pool,
-/// useful for micro-benchmarks and counter comparisons.
-pub fn ecl_mst_gpu_sequential(g: &CsrGraph, cfg: &OptConfig, profile: GpuProfile) -> GpuRun {
-    let mut dev = Device::new(profile);
-    dev.set_sequential(true);
-    run_on(&mut dev, g, cfg)
-}
-
 /// The full Alg. 1–2 driver on an existing device.
 fn run_on(dev: &mut Device, g: &CsrGraph, cfg: &OptConfig) -> GpuRun {
     let _run = ecl_trace::range!(sim: "ecl_mst_gpu");

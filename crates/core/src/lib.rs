@@ -5,7 +5,7 @@
 //!
 //! Two backends execute the identical algorithm:
 //!
-//! * [`cpu`] — rayon + atomics on the host; real measured wall-clock.
+//! * [`cpu`] — host threads + atomics; real measured wall-clock.
 //! * [`gpu`] — kernels on the [`ecl_gpu_sim`] simulated device; simulated
 //!   time from the metered cost model (the substitution for the paper's
 //!   CUDA/NVIDIA hardware).
@@ -34,7 +34,7 @@ pub mod verify;
 pub use config::{deopt_ladder, OptConfig};
 pub use cpu::{ecl_mst_cpu, ecl_mst_cpu_with, CpuRun};
 pub use dynamic::{BatchStats, DynamicMsf, SlidingWindow, UpdateOp};
-pub use gpu::{ecl_mst_gpu, ecl_mst_gpu_sequential, ecl_mst_gpu_with, GpuRun};
+pub use gpu::{ecl_mst_gpu, ecl_mst_gpu_with, GpuRun};
 pub use result::{pack, unpack, MstError, MstResult, EMPTY};
 pub use serial::serial_kruskal;
 pub use sharded::{sharded_msf, ShardedConfig, ShardedForest, ShardedRun};

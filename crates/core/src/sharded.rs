@@ -45,7 +45,6 @@ use crate::result::MstResult;
 use ecl_dsu::{Compression, SeqDsu, UnionPolicy};
 use ecl_graph::shard::{EdgeShards, ShardTriple};
 use ecl_graph::{par, CsrGraph, VertexId, Weight};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -58,6 +57,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ranks), so a plain tuple sort *is* the tie-breaking order every backend
 /// agrees on. Edges flow between the pipeline's stages in this form.
 type Wuv = (Weight, VertexId, VertexId);
+
+/// The total-order key of a streamed triple, endpoints normalized to
+/// `(min, max)` as the builder stores them, so a source may emit either
+/// direction.
+fn key((u, v, w): ShardTriple) -> Wuv {
+    (w, u.min(v), u.max(v))
+}
 
 /// Configuration for [`sharded_msf`].
 #[derive(Debug, Clone)]
@@ -207,7 +213,7 @@ pub fn sharded_msf(src: &dyn EdgeShards, cfg: &ShardedConfig) -> ShardedRun {
 
     // Edges flow in total order; the public forest is canonical.
     let mut edges: Vec<ShardTriple> = picked.into_iter().map(|(w, u, v)| (u, v, w)).collect();
-    edges.par_sort_unstable();
+    par::par_sort_unstable(&mut edges);
     let total_weight = edges.iter().map(|e| e.2 as u64).sum();
     ShardedRun {
         forest: ShardedForest {
@@ -237,9 +243,9 @@ fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Opt
         |&i| src.shard(i, k),
         |shard| {
             // ecl-lint: allow(builder-serial-hot-path) one shared selection whose bound tightens edge by edge
-            for (u, v, w) in shard {
-                let e = (w, u, v);
-                if u == v || bound.is_some_and(|b| e >= b) {
+            for t in shard {
+                let e = key(t);
+                if e.1 == e.2 || bound.is_some_and(|b| e >= b) {
                     continue;
                 }
                 buf.push(e);
@@ -250,7 +256,7 @@ fn lightest_edges(src: &dyn EdgeShards, k: usize, keep: usize) -> (Vec<Wuv>, Opt
             }
         },
     );
-    buf.par_sort_unstable();
+    par::par_sort_unstable(&mut buf);
     // Copies of the bound triple itself belong to the heavy side.
     while bound.is_some() && buf.last() == bound.as_ref() {
         buf.pop();
@@ -280,10 +286,10 @@ fn shard_survivors(shard: Vec<ShardTriple>, bound: Wuv, labels: &[u32], comps: u
     let label = |x: VertexId| labels[x as usize];
     let mut heavy: Vec<Wuv> = shard
         .into_iter()
-        .map(|(u, v, w)| (w, u, v))
+        .map(key)
         .filter(|&(w, u, v)| (w, u, v) >= bound && label(u) != label(v))
         .collect();
-    heavy.par_sort_unstable();
+    par::par_sort_unstable(&mut heavy);
     heavy.retain(joins(&mut scan_dsu(comps), label));
     heavy.shrink_to_fit();
     heavy

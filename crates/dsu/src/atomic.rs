@@ -122,10 +122,23 @@ impl AtomicDsu {
     /// feeds the `ecl.dsu.find` / `find_hop` / `compression_write`
     /// counters; off, the telemetry costs one predictable branch.
     pub fn find_counted(&self, x: u32, policy: FindPolicy) -> (u32, u32) {
-        let (root, hops, writes) = self.find_impl(x, policy);
+        let mut tally = DsuTally::default();
+        let found = self.find_tallied(x, policy, &mut tally);
         if ecl_metrics::active() {
-            record_find_metrics(hops, writes);
+            tally.publish();
         }
+        found
+    }
+
+    /// [`find_counted`](Self::find_counted) that adds its find, hops and
+    /// compression writes to `tally` instead of the metrics registry:
+    /// concurrent callers count in locals and [`DsuTally::publish`] once.
+    #[inline]
+    pub fn find_tallied(&self, x: u32, policy: FindPolicy, tally: &mut DsuTally) -> (u32, u32) {
+        let (root, hops, writes) = self.find_impl(x, policy);
+        tally.finds += 1;
+        tally.hops += u64::from(hops);
+        tally.compression_writes += u64::from(writes);
         (root, hops)
     }
 
@@ -229,21 +242,29 @@ impl AtomicDsu {
     /// root. Returns `true` when this call performed the merge and the
     /// number of CAS attempts (for the cost model).
     pub fn union_counted(&self, x: u32, y: u32, policy: FindPolicy) -> (bool, u32) {
-        let (merged, attempts) = self.union_impl(x, y, policy);
+        let mut tally = DsuTally::default();
+        let counted = self.union_tallied(x, y, policy, &mut tally);
         if ecl_metrics::active() {
-            record_union_metrics(attempts);
+            tally.publish();
         }
-        (merged, attempts)
+        counted
     }
 
-    /// The CAS loop behind [`union_counted`](Self::union_counted).
-    fn union_impl(&self, x: u32, y: u32, policy: FindPolicy) -> (bool, u32) {
-        let mut rx = self.find(x, policy);
-        let mut ry = self.find(y, policy);
-        let mut attempts = 0;
-        loop {
+    /// The CAS loop behind [`union_counted`](Self::union_counted): adds the
+    /// union, its lost CAS attempts and its finds to `tally`.
+    pub fn union_tallied(
+        &self,
+        x: u32,
+        y: u32,
+        policy: FindPolicy,
+        tally: &mut DsuTally,
+    ) -> (bool, u32) {
+        let mut rx = self.find_tallied(x, policy, tally).0;
+        let mut ry = self.find_tallied(y, policy, tally).0;
+        let mut attempts = 0u32;
+        let merged = loop {
             if rx == ry {
-                return (false, attempts);
+                break false;
             }
             let (lo, hi) = (rx.min(ry), rx.max(ry));
             attempts += 1;
@@ -256,15 +277,18 @@ impl AtomicDsu {
                 UNION_CAS_ORD.0,
                 UNION_CAS_ORD.1,
             ) {
-                Ok(_) => return (true, attempts),
+                Ok(_) => break true,
                 Err(_) => {
                     // Someone re-parented lo concurrently; chase the roots
                     // and retry.
-                    rx = self.find(lo, policy);
-                    ry = self.find(hi, policy);
+                    rx = self.find_tallied(lo, policy, tally).0;
+                    ry = self.find_tallied(hi, policy, tally).0;
                 }
             }
-        }
+        };
+        tally.unions += 1;
+        tally.cas_retries += u64::from(attempts.saturating_sub(1));
+        (merged, attempts)
     }
 
     /// Lock-free union by index (see [`Self::union_counted`]).
@@ -322,20 +346,49 @@ impl AtomicDsu {
     }
 }
 
-/// Out-of-line metrics publication for counted finds, `#[cold]` so the
-/// metrics-off path compiles to a straight-line predictable branch.
-#[cold]
-fn record_find_metrics(hops: u32, writes: u32) {
-    ecl_metrics::counter!(DSU_FIND);
-    ecl_metrics::counter!(DSU_FIND_HOP, hops);
-    ecl_metrics::counter!(DSU_COMPRESSION_WRITE, writes);
+/// DSU events counted in a local: finds, parent hops and compression
+/// writes, unions and lost CAS attempts. A kernel keeps one per chunk so
+/// concurrent finds touch no shared counter, then folds the chunks and
+/// publishes the sum into the `ecl.dsu.*` counters once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DsuTally {
+    /// Find calls, including those inside unions.
+    pub finds: u64,
+    /// Parent hops walked by those finds.
+    pub hops: u64,
+    /// Parent writes by the compressing find policies.
+    pub compression_writes: u64,
+    /// Union calls.
+    pub unions: u64,
+    /// Union CAS attempts beyond the first.
+    pub cas_retries: u64,
 }
 
-/// Out-of-line metrics publication for counted unions.
-#[cold]
-fn record_union_metrics(attempts: u32) {
-    ecl_metrics::counter!(DSU_UNION);
-    ecl_metrics::counter!(DSU_CAS_RETRY, attempts.saturating_sub(1));
+impl DsuTally {
+    /// Adds `other`'s counts to this tally.
+    pub fn merge(&mut self, other: &DsuTally) {
+        self.finds += other.finds;
+        self.hops += other.hops;
+        self.compression_writes += other.compression_writes;
+        self.unions += other.unions;
+        self.cas_retries += other.cas_retries;
+    }
+
+    /// Adds the counts to the `ecl.dsu.*` counters of the active metrics
+    /// session (one add per counter; nothing when no session is active).
+    /// `#[cold]` so the metrics-off path of a counted find stays a
+    /// straight-line predictable branch.
+    #[cold]
+    pub fn publish(&self) {
+        if *self == DsuTally::default() {
+            return;
+        }
+        ecl_metrics::counter!(DSU_FIND, self.finds);
+        ecl_metrics::counter!(DSU_FIND_HOP, self.hops);
+        ecl_metrics::counter!(DSU_COMPRESSION_WRITE, self.compression_writes);
+        ecl_metrics::counter!(DSU_UNION, self.unions);
+        ecl_metrics::counter!(DSU_CAS_RETRY, self.cas_retries);
+    }
 }
 
 #[cfg(test)]

@@ -29,5 +29,5 @@ pub mod model;
 pub mod seq;
 pub mod verify;
 
-pub use atomic::{AtomicDsu, FindPolicy};
+pub use atomic::{AtomicDsu, DsuTally, FindPolicy};
 pub use seq::{Compression, SeqDsu, UnionPolicy};

@@ -56,10 +56,10 @@ proptest! {
     fn parallel_unions_match_naive((n, edges) in edges_strategy()) {
         let reference = naive_partition(n, &edges);
         let d = AtomicDsu::new(n);
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for chunk in edges.chunks(edges.len() / 4 + 1) {
                 let d = &d;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &(x, y) in chunk {
                         d.union(x, y, FindPolicy::Halving);
                     }

@@ -5,17 +5,14 @@ use crate::counters::{KernelRecord, LaunchStats, TaskCtx};
 use crate::profile::GpuProfile;
 use crate::sanitize;
 use crate::warp::{WarpCtx, WARP_SIZE};
-use rayon::prelude::*;
-
-/// Minimum tasks per rayon work item when executing a launch host-parallel.
-const HOST_CHUNK: usize = 4096;
 
 /// A simulated GPU.
 ///
 /// The device executes kernels (really — the closures run and mutate device
 /// buffers) and advances a simulated clock according to the profile's cost
-/// model. Kernel execution uses the host's cores through rayon; the
-/// *simulated* time is unrelated to host wall-clock.
+/// model. A launch runs its tasks on the calling thread in task order, so
+/// atomic outcomes and CAS retry counts are reproducible; the *simulated*
+/// time is unrelated to host wall-clock.
 ///
 /// ```
 /// use ecl_gpu_sim::{BufU32, Device, GpuProfile};
@@ -33,7 +30,6 @@ pub struct Device {
     kernel_seconds: f64,
     memcpy_seconds: f64,
     records: Vec<KernelRecord>,
-    sequential: bool,
 }
 
 impl Device {
@@ -44,14 +40,7 @@ impl Device {
             kernel_seconds: 0.0,
             memcpy_seconds: 0.0,
             records: Vec::new(),
-            sequential: false,
         }
-    }
-
-    /// Forces kernels to execute on one host thread (deterministic event
-    /// counts; useful in tests).
-    pub fn set_sequential(&mut self, seq: bool) {
-        self.sequential = seq;
     }
 
     /// The device's cost profile.
@@ -65,7 +54,7 @@ impl Device {
     /// `ctx` drive the simulated duration. Returns the launch statistics.
     pub fn launch<F>(&mut self, name: &str, tasks: usize, f: F) -> LaunchStats
     where
-        F: Fn(usize, &mut TaskCtx) + Sync,
+        F: Fn(usize, &mut TaskCtx),
     {
         let profile = self.profile;
         let traffic = |c: &TaskCtx| {
@@ -76,54 +65,26 @@ impl Device {
                 profile.access_overhead_bytes,
             )
         };
-        // With a sanitizer session active, run the sequential path with
-        // per-task shadow attribution. Charging happens before recording in
-        // every accessor and the task order is identical, so the metered
-        // stats are bit-identical to an unsanitized launch.
+        // With a sanitizer session active, each task is attributed for
+        // shadow checking. Charging happens before recording in every
+        // accessor and the task order is the same, so the metered stats are
+        // bit-identical to an unsanitized launch.
         let sanitized = sanitize::launch_begin(name);
-        let stats = if self.sequential || sanitized {
-            let mut totals = TaskCtx::new();
-            let mut critical = 0u64;
-            for i in 0..tasks {
-                if sanitized {
-                    sanitize::set_task(i as u64);
-                }
-                let mut ctx = TaskCtx::new();
-                f(i, &mut ctx);
-                critical = critical.max(traffic(&ctx));
-                totals.merge(&ctx);
+        let mut totals = TaskCtx::new();
+        let mut critical = 0u64;
+        for i in 0..tasks {
+            if sanitized {
+                sanitize::set_task(i as u64);
             }
-            LaunchStats {
-                totals,
-                critical_bytes: critical,
-                tasks: tasks as u64,
-            }
-        } else {
-            let (totals, critical) = (0..tasks)
-                .into_par_iter()
-                .with_min_len(HOST_CHUNK)
-                .fold(
-                    || (TaskCtx::new(), 0u64),
-                    |(mut acc, mut crit), i| {
-                        let mut ctx = TaskCtx::new();
-                        f(i, &mut ctx);
-                        crit = crit.max(traffic(&ctx));
-                        acc.merge(&ctx);
-                        (acc, crit)
-                    },
-                )
-                .reduce(
-                    || (TaskCtx::new(), 0u64),
-                    |(mut a, ca), (b, cb)| {
-                        a.merge(&b);
-                        (a, ca.max(cb))
-                    },
-                );
-            LaunchStats {
-                totals,
-                critical_bytes: critical,
-                tasks: tasks as u64,
-            }
+            let mut ctx = TaskCtx::new();
+            f(i, &mut ctx);
+            critical = critical.max(traffic(&ctx));
+            totals.merge(&ctx);
+        }
+        let stats = LaunchStats {
+            totals,
+            critical_bytes: critical,
+            tasks: tasks as u64,
         };
         if sanitized {
             sanitize::launch_end();
@@ -139,7 +100,7 @@ impl Device {
     /// 1/32 (the lanes share it), traffic on [`WarpCtx::serial`] in full.
     pub fn launch_warps<F>(&mut self, name: &str, tasks: usize, f: F) -> LaunchStats
     where
-        F: Fn(usize, &mut WarpCtx) + Sync,
+        F: Fn(usize, &mut WarpCtx),
     {
         let profile = self.profile;
         let traffic = |c: &TaskCtx| {
@@ -151,55 +112,22 @@ impl Device {
             )
         };
         let sanitized = sanitize::launch_begin(name);
-        let run_task = |i: usize| -> (TaskCtx, u64) {
+        let mut totals = TaskCtx::new();
+        let mut critical = 0u64;
+        for i in 0..tasks {
             if sanitized {
                 sanitize::set_task(i as u64);
             }
             let mut w = WarpCtx::new();
             f(i, &mut w);
-            let crit = traffic(&w.serial) + traffic(&w.parallel) / WARP_SIZE as u64;
-            let mut merged = w.serial;
-            merged.merge(&w.parallel);
-            (merged, crit)
-        };
-        let stats = if self.sequential || sanitized {
-            let mut totals = TaskCtx::new();
-            let mut critical = 0u64;
-            for i in 0..tasks {
-                let (ctx, crit) = run_task(i);
-                critical = critical.max(crit);
-                totals.merge(&ctx);
-            }
-            LaunchStats {
-                totals,
-                critical_bytes: critical,
-                tasks: tasks as u64,
-            }
-        } else {
-            let (totals, critical) = (0..tasks)
-                .into_par_iter()
-                .with_min_len(HOST_CHUNK / WARP_SIZE)
-                .fold(
-                    || (TaskCtx::new(), 0u64),
-                    |(mut acc, mut crit), i| {
-                        let (ctx, c) = run_task(i);
-                        crit = crit.max(c);
-                        acc.merge(&ctx);
-                        (acc, crit)
-                    },
-                )
-                .reduce(
-                    || (TaskCtx::new(), 0u64),
-                    |(mut a, ca), (b, cb)| {
-                        a.merge(&b);
-                        (a, ca.max(cb))
-                    },
-                );
-            LaunchStats {
-                totals,
-                critical_bytes: critical,
-                tasks: tasks as u64,
-            }
+            critical = critical.max(traffic(&w.serial) + traffic(&w.parallel) / WARP_SIZE as u64);
+            totals.merge(&w.serial);
+            totals.merge(&w.parallel);
+        }
+        let stats = LaunchStats {
+            totals,
+            critical_bytes: critical,
+            tasks: tasks as u64,
         };
         if sanitized {
             sanitize::launch_end();
@@ -421,23 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mode_matches_parallel_results() {
-        let run = |seq: bool| -> (Vec<u32>, u64) {
-            let mut dev = Device::new(GpuProfile::TITAN_V);
-            dev.set_sequential(seq);
-            let out = BufU32::new(64, 0);
-            let stats = dev.launch("sq", 64, |i, ctx| {
-                out.st(ctx, i, (i * i) as u32);
-            });
-            (out.to_vec(), stats.totals.coalesced_bytes)
-        };
-        let (a, ta) = run(true);
-        let (b, tb) = run(false);
-        assert_eq!(a, b);
-        assert_eq!(ta, tb);
-    }
-
-    #[test]
     fn memcpy_metering() {
         let mut dev = Device::new(GpuProfile::TITAN_V);
         assert_eq!(dev.memcpy_seconds(), 0.0);
@@ -501,7 +412,6 @@ mod tests {
     fn traced_launch_reports_matching_events_without_perturbing_stats() {
         let run = || {
             let mut dev = Device::new(GpuProfile::TITAN_V);
-            dev.set_sequential(true);
             let buf = BufU32::new(256, 0);
             let _ = dev.launch("k", 256, |i, ctx| {
                 let _ = buf.atomic_add(ctx, i % 4, 1);

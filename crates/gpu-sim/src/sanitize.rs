@@ -359,7 +359,8 @@ pub(crate) fn active() -> bool {
 }
 
 /// Sets the task (thread or warp) id shadow accesses are attributed to.
-/// Called by the device's sanitized sequential loops before each task.
+/// Called by the device's launch loops before each task of a sanitized
+/// launch.
 pub(crate) fn set_task(task: u64) {
     CURRENT_TASK.set(task);
 }
@@ -420,7 +421,7 @@ impl Drop for ScopeGuard {
 /// and returns its result together with the session's report.
 ///
 /// Any `Device::launch`/`launch_warps` performed inside the closure (on
-/// any device) executes sequentially with shadow checking; buffers
+/// any device) runs with shadow checking; buffers
 /// acquired uninitialized from a [`crate::arena::DeviceArena`] inside the
 /// closure are init-tracked. A pre-existing session (including the
 /// ambient `ECL_SANITIZE` one) is suspended for the scope and restored
@@ -457,7 +458,7 @@ pub fn label(buf: &impl ShadowBuf, name: &'static str) {
 // Launch hooks (called by `Device`).
 
 /// Begins a sanitized launch; returns true when a session is active (the
-/// device then runs the sequential path with per-task shadow reporting).
+/// device then attributes each task for per-task shadow reporting).
 pub(crate) fn launch_begin(kernel: &str) -> bool {
     with_state(|s| {
         let index = s.launch_counter;

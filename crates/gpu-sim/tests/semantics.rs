@@ -1,39 +1,7 @@
-//! Integration tests of the simulator's execution semantics: results must
-//! not depend on host parallelism, clocks must be reproducible, and the
-//! cost model must order workloads sensibly.
+//! Integration tests of the simulator's execution semantics: clocks must
+//! be reproducible, and the cost model must order workloads sensibly.
 
 use ecl_gpu_sim::{BufU32, BufU64, ConstBuf, Device, GpuProfile};
-
-#[test]
-fn parallel_and_sequential_execution_agree_on_state_and_traffic() {
-    let run = |seq: bool| {
-        let mut dev = Device::new(GpuProfile::TITAN_V);
-        dev.set_sequential(seq);
-        let data: Vec<u32> = (0..10_000).collect();
-        let input = ConstBuf::from_slice(&data);
-        let acc = BufU32::new(1, 0);
-        let out = BufU32::new(10_000, 0);
-        let stats = dev.launch("mix", 10_000, |i, ctx| {
-            let x = input.ld(ctx, i);
-            out.st(ctx, i, x * 2);
-            if x.is_multiple_of(97) {
-                acc.atomic_add(ctx, 0, 1);
-            }
-        });
-        (
-            out.to_vec(),
-            acc.host_read(0),
-            stats.totals,
-            dev.kernel_seconds(),
-        )
-    };
-    let (o1, a1, t1, k1) = run(true);
-    let (o2, a2, t2, k2) = run(false);
-    assert_eq!(o1, o2);
-    assert_eq!(a1, a2);
-    assert_eq!(t1, t2, "event totals must not depend on host scheduling");
-    assert!((k1 - k2).abs() < 1e-12);
-}
 
 #[test]
 fn simulated_clock_is_reproducible() {

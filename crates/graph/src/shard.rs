@@ -61,8 +61,10 @@ pub struct InMemoryShards {
 }
 
 impl InMemoryShards {
-    /// Wraps an edge list. Self-loops and duplicates are passed through
-    /// untouched — the per-shard builder and the merge handle both.
+    /// Wraps an edge list. Endpoint order, self-loops and duplicates are
+    /// passed through untouched: consumers normalize each triple to
+    /// `u ≤ v` and drop loops and heavier duplicates, as
+    /// [`crate::GraphBuilder`] does.
     pub fn new(num_vertices: usize, edges: Vec<ShardTriple>) -> Self {
         Self {
             num_vertices,

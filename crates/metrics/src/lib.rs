@@ -16,7 +16,7 @@
 //! session is installed: [`active`] is a single `Relaxed` load of a static
 //! [`AtomicBool`]. Unlike the tracer — whose sessions are thread-local
 //! because events are ordered — metric aggregation is commutative, so the
-//! gate and the storage are process-wide: rayon workers record into the
+//! gate and the storage are process-wide: `par` workers record into the
 //! same registry the installing thread snapshots. Sessions are either
 //! *scoped* ([`with_metrics`], used by tests and `bench_snapshot
 //! --metrics`) or *ambient* (`ECL_METRICS=1` in the environment plus an
@@ -388,7 +388,7 @@ impl Drop for SessionGuard {
 /// together with the captured [`Snapshot`]. The registry is reset on
 /// entry and on exit, so concurrent scoped sessions serialize (a second
 /// caller blocks until the first finishes); recording threads spawned by
-/// `f` (rayon workers) land in the same session. Nesting on one thread is
+/// `f` (`par` workers) land in the same session. Nesting on one thread is
 /// a programming error and panics rather than deadlocking.
 pub fn with_metrics<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     assert!(

@@ -598,6 +598,21 @@ pub fn record_find_hops(hops: u32) {
     });
 }
 
+/// Records a batch of `find()` calls counted elsewhere (a kernel's
+/// per-chunk tallies, folded on the thread that owns the session): the
+/// same totals as one [`record_find_hops`] per call. No-op when tracing
+/// is off.
+pub fn record_find_histogram(hops: &HopHistogram) {
+    if !active() || hops.calls == 0 {
+        return;
+    }
+    with_state(|s| {
+        s.hops.merge(hops);
+        s.totals.find_calls += hops.calls;
+        s.totals.find_hops += hops.total_hops;
+    });
+}
+
 /// Device hook: records a kernel launch and advances the simulated clock
 /// by its duration. Called by `Device::launch`/`launch_warps`.
 pub fn on_launch(name: &str, m: LaunchMetrics) {

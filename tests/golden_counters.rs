@@ -8,9 +8,9 @@
 //! totals for every simulated-GPU code on two fixed-seed inputs; any
 //! drift in the cost model or in kernel metering shows up as a diff here.
 //!
-//! Determinism basis: the vendored `rayon` stub executes launches
-//! sequentially in task order (see `vendor/rayon`), so atomic outcomes and
-//! CAS retry counts are reproducible across runs and hosts.
+//! Determinism basis: `Device::launch` runs a launch's tasks in a plain
+//! loop, in task order, on the calling thread, so atomic outcomes and CAS
+//! retry counts are reproducible across runs, hosts and thread budgets.
 //!
 //! To regenerate after an *intentional* metering change:
 //!

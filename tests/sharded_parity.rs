@@ -263,6 +263,25 @@ fn descending_weights_tighten_the_bound_repeatedly() {
 }
 
 #[test]
+fn reversed_endpoints_key_like_the_builder() {
+    // Raw pairs in either direction, as an edge list read from a file may
+    // carry them: about half have u > v, every edge is also emitted
+    // reversed with another weight, and weights repeat, so the light/heavy
+    // cut and the ties are decided on normalized `(u, v)` keys.
+    let n = 2_000u32;
+    let mut r = lcg(23);
+    let mut triples = Vec::new();
+    for _ in 0..8 * n {
+        let (a, b, w) = (r(n), r(n), r(64));
+        triples.push((a, b, w));
+        triples.push((b, a, r(64)));
+    }
+    assert!(triples.iter().any(|&(u, v, _)| u > v));
+    let runs = raw_parity("reversed", n as usize, triples);
+    assert_heavy_pass_ran("reversed", &runs);
+}
+
+#[test]
 fn spanning_light_edges_skip_the_heavy_pass() {
     // A light path spans the graph before any heavy edge: the bound is
     // set, but the light forest already spans, so no shard is solved.
