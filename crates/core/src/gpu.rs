@@ -106,7 +106,7 @@ impl WlBuf {
 
     /// Metered read of entry `i` — one 16-byte vectorized access for AoS,
     /// four scalar accesses for SoA (the "No Tuples" penalty).
-    #[inline]
+    #[inline(always)]
     fn read(&self, ctx: &mut TaskCtx, i: usize) -> [u32; 4] {
         match (&self.aos, &self.soa) {
             (Some(b), _) => b.ld4(ctx, 4 * i),
@@ -121,7 +121,7 @@ impl WlBuf {
     }
 
     /// Metered write of entry `i`.
-    #[inline]
+    #[inline(always)]
     fn write(&self, ctx: &mut TaskCtx, i: usize, item: [u32; 4]) {
         match (&self.aos, &self.soa) {
             (Some(b), _) => b.st4(ctx, 4 * i, item),
@@ -181,29 +181,23 @@ impl<'g> GpuState<'g> {
     }
 
     /// Device-side `find`: each parent hop is a dependent gather. With
-    /// implicit compression the structure is never written; the de-optimized
-    /// variant path-halves as it walks (extra scattered stores).
+    /// implicit compression the structure is never written, so the walk is
+    /// one metered pointer chase; the de-optimized variant path-halves as it
+    /// walks (extra scattered stores).
     ///
     /// The chain length is kept in a register and reported to the tracer's
     /// hop histogram at the end — one thread-local read per call when
     /// tracing is off, nothing on the metered counters either way.
-    #[inline]
+    #[inline(always)]
     fn find(&self, ctx: &mut TaskCtx, mut x: u32) -> u32 {
-        let mut hops = 0u32;
-        let root = if self.cfg.implicit_compression {
-            loop {
-                let p = self.parent.ld_gather(ctx, x as usize);
-                if p == x {
-                    break x;
-                }
-                hops += 1;
-                x = p;
-            }
+        let (root, hops) = if self.cfg.implicit_compression {
+            self.parent.ld_chase(ctx, x)
         } else {
+            let mut hops = 0u32;
             loop {
                 let p = self.parent.ld_gather(ctx, x as usize);
                 if p == x {
-                    break x;
+                    break (x, hops);
                 }
                 hops += 1;
                 let gp = self.parent.ld_gather(ctx, p as usize);
@@ -218,6 +212,7 @@ impl<'g> GpuState<'g> {
     }
 
     /// Device-side lock-free union (Line 30: the `atomicCAS`).
+    #[inline(always)]
     fn union(&self, ctx: &mut TaskCtx, x: u32, y: u32) -> bool {
         let mut rx = self.find(ctx, x);
         let mut ry = self.find(ctx, y);
@@ -239,7 +234,7 @@ impl<'g> GpuState<'g> {
     /// Guarded 64-bit atomicMin reservation (Lines 19–21). The guard is a
     /// plain (L2-hot) load that skips the atomic when it cannot lower the
     /// value — the paper's "No Atomic Guards" ablation removes it.
-    #[inline]
+    #[inline(always)]
     fn reserve(&self, ctx: &mut TaskCtx, slot: u32, val: u64) {
         if self.cfg.atomic_guards {
             let cur = self.min_edge.ld_cached(ctx, slot as usize);

@@ -9,6 +9,11 @@
 //! * [`BufU64`] — mutable 64-bit words with `atomicMin` (the packed
 //!   `weight:edge_id` reservation words).
 //!
+//! A launch runs its tasks in order on the calling thread, so the mutable
+//! buffers are plain [`Cell`]s and the simulated atomics are ordinary
+//! read-modify-writes: the device's atomicity comes from task order, not
+//! from locked host instructions. The buffers are therefore not `Sync`.
+//!
 //! Every access takes a [`TaskCtx`] and self-classifies as *coalesced*
 //! (consecutive lanes touch consecutive addresses — worklist reads/writes,
 //! adjacency scans) or *gather* (data-dependent random address — parent
@@ -18,7 +23,8 @@
 
 use crate::counters::TaskCtx;
 use crate::sanitize::{self, BufRef, ShadowBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hands out process-unique buffer ids for the sanitizer's shadow maps.
 fn next_uid() -> u64 {
@@ -136,9 +142,16 @@ impl ShadowBuf for ConstBuf {
 /// [`crate::arena::DeviceArena`] pools buffers by power-of-two capacity
 /// class and retargets the logical length on reuse, so a recycled buffer
 /// meters exactly like a freshly allocated one.
+///
+/// Single-threaded, so it cannot be shared across host threads:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<ecl_gpu_sim::BufU32>();
+/// ```
 #[derive(Debug)]
 pub struct BufU32 {
-    data: Vec<AtomicU32>,
+    data: Vec<Cell<u32>>,
     len: usize,
     uid: u64,
 }
@@ -147,7 +160,9 @@ impl BufU32 {
     /// Allocates `len` words initialized to `init`.
     pub fn new(len: usize, init: u32) -> Self {
         Self {
-            data: (0..len).map(|_| AtomicU32::new(init)).collect(),
+            // Not `vec!`, which writes every word: for `init == 0` this
+            // becomes a zeroed allocation (`vec!` measured +14 MiB RSS).
+            data: (0..len).map(|_| Cell::new(init)).collect(),
             len,
             uid: next_uid(),
         }
@@ -156,7 +171,7 @@ impl BufU32 {
     /// Uploads a host slice.
     pub fn from_slice(data: &[u32]) -> Self {
         Self {
-            data: data.iter().map(|&x| AtomicU32::new(x)).collect(),
+            data: data.iter().copied().map(Cell::new).collect(),
             len: data.len(),
             uid: next_uid(),
         }
@@ -199,7 +214,7 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_read(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].load(Ordering::Relaxed)
+        self.data[i].get()
     }
 
     /// Random-address read.
@@ -210,7 +225,7 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_read(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].load(Ordering::Relaxed)
+        self.data[i].get()
     }
 
     /// Coalesced write.
@@ -220,7 +235,7 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_write(self.shadow_ref(), sanitize::current_task(), i, u64::from(v));
         }
-        self.data[i].store(v, Ordering::Relaxed);
+        self.data[i].set(v);
     }
 
     /// Random-address write.
@@ -230,7 +245,7 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_write(self.shadow_ref(), sanitize::current_task(), i, u64::from(v));
         }
-        self.data[i].store(v, Ordering::Relaxed);
+        self.data[i].set(v);
     }
 
     /// `atomicAdd`: returns the previous value (worklist slot allocation).
@@ -240,7 +255,8 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_rmw(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].fetch_add(v, Ordering::AcqRel)
+        let w = &self.data[i];
+        w.replace(w.get().wrapping_add(v))
     }
 
     /// Warp-aggregated `atomicAdd` on a shared counter: when every thread
@@ -254,7 +270,8 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_rmw(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].fetch_add(v, Ordering::AcqRel)
+        let w = &self.data[i];
+        w.replace(w.get().wrapping_add(v))
     }
 
     /// `atomicCAS`: returns `Ok(previous)` on success, `Err(actual)` on
@@ -271,12 +288,14 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_rmw(self.shadow_ref(), sanitize::current_task(), i);
         }
-        match self.data[i].compare_exchange(expect, new, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(p) => Ok(p),
-            Err(a) => {
-                ctx.charge_cas_retry();
-                Err(a)
-            }
+        let word = &self.data[i];
+        let cur = word.get();
+        if cur == expect {
+            word.set(new);
+            Ok(cur)
+        } else {
+            ctx.charge_cas_retry();
+            Err(cur)
         }
     }
 
@@ -287,7 +306,8 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_rmw(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].fetch_min(v, Ordering::AcqRel)
+        let w = &self.data[i];
+        w.replace(w.get().min(v))
     }
 
     /// Vectorized coalesced load of 4 consecutive words (CUDA `int4`):
@@ -299,28 +319,49 @@ impl BufU32 {
         if sanitize::active() {
             sanitize::device_read_span(self.shadow_ref(), sanitize::current_task(), base, 4);
         }
-        [
-            self.data[base].load(Ordering::Relaxed),
-            self.data[base + 1].load(Ordering::Relaxed),
-            self.data[base + 2].load(Ordering::Relaxed),
-            self.data[base + 3].load(Ordering::Relaxed),
-        ]
+        let w = &self.data[base..base + 4];
+        [w[0].get(), w[1].get(), w[2].get(), w[3].get()]
     }
 
-    /// Vectorized coalesced store of 4 consecutive words (one access).
+    /// Vectorized coalesced store of 4 consecutive words (one access): one
+    /// sanitizer branch and one bounds check for the tuple.
     #[inline]
     pub fn st4(&self, ctx: &mut TaskCtx, base: usize, v: [u32; 4]) {
         ctx.charge_coalesced(16);
-        for (k, x) in v.into_iter().enumerate() {
-            if sanitize::active() {
-                sanitize::device_write(
-                    self.shadow_ref(),
-                    sanitize::current_task(),
-                    base + k,
-                    u64::from(x),
-                );
+        if sanitize::active() {
+            let task = sanitize::current_task();
+            for (k, x) in v.into_iter().enumerate() {
+                sanitize::device_write(self.shadow_ref(), task, base + k, u64::from(x));
             }
-            self.data[base + k].store(x, Ordering::Relaxed);
+        }
+        for (word, x) in self.data[base..base + 4].iter().zip(v) {
+            word.set(x);
+        }
+    }
+
+    /// Pointer chase from word `x` to the first word that holds its own
+    /// index: a union-find `find` without writes. Returns the root and the
+    /// number of hops; each load is a dependent gather, charged exactly as
+    /// the `ld_gather` loop it stands for (`hops + 1` gathers). The
+    /// sanitizer is checked once per chase; under a session every load goes
+    /// through [`BufU32::ld_gather`] and is shadow-recorded.
+    #[inline]
+    #[must_use]
+    pub fn ld_chase(&self, ctx: &mut TaskCtx, mut x: u32) -> (u32, u32) {
+        let checked = sanitize::active();
+        let mut hops = 0;
+        loop {
+            let p = if checked {
+                self.ld_gather(ctx, x as usize)
+            } else {
+                ctx.charge_gather();
+                self.data[x as usize].get()
+            };
+            if p == x {
+                return (x, hops);
+            }
+            hops += 1;
+            x = p;
         }
     }
 
@@ -329,22 +370,19 @@ impl BufU32 {
     /// partially-written region is normal host behavior.
     #[must_use]
     pub fn host_read(&self, i: usize) -> u32 {
-        self.data[i].load(Ordering::Acquire)
+        self.data[i].get()
     }
 
     /// Unmetered host-side write (before a simulated H2D copy).
     pub fn host_write(&self, i: usize, v: u32) {
         sanitize::on_host_write(self.uid, i, i + 1);
-        self.data[i].store(v, Ordering::Release)
+        self.data[i].set(v)
     }
 
     /// Unmetered host-side snapshot of the logical contents.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u32> {
-        self.data[..self.len]
-            .iter()
-            .map(|x| x.load(Ordering::Acquire))
-            .collect()
+        self.data[..self.len].iter().map(Cell::get).collect()
     }
 
     /// Unmetered host-side fill (cudaMemset analogue; meter it via the
@@ -352,7 +390,7 @@ impl BufU32 {
     pub fn fill(&self, v: u32) {
         sanitize::on_host_write(self.uid, 0, self.len);
         for x in &self.data[..self.len] {
-            x.store(v, Ordering::Release);
+            x.set(v);
         }
     }
 
@@ -365,7 +403,7 @@ impl BufU32 {
         );
         sanitize::on_host_write(self.uid, 0, data.len());
         for (x, &v) in self.data.iter().zip(data) {
-            x.store(v, Ordering::Release);
+            x.set(v);
         }
     }
 
@@ -374,7 +412,7 @@ impl BufU32 {
     pub fn host_write_iota(&self) {
         sanitize::on_host_write(self.uid, 0, self.len);
         for (i, x) in self.data[..self.len].iter().enumerate() {
-            x.store(i as u32, Ordering::Release);
+            x.set(i as u32);
         }
     }
 }
@@ -394,16 +432,17 @@ impl ShadowBuf for BufU32 {
 /// [`BufU32`].
 #[derive(Debug)]
 pub struct BufU64 {
-    data: Vec<AtomicU64>,
+    data: Vec<Cell<u64>>,
     len: usize,
     uid: u64,
 }
 
 impl BufU64 {
-    /// Allocates `len` words initialized to `init`.
+    /// Allocates `len` words initialized to `init` (built like
+    /// [`BufU32::new`]).
     pub fn new(len: usize, init: u64) -> Self {
         Self {
-            data: (0..len).map(|_| AtomicU64::new(init)).collect(),
+            data: (0..len).map(|_| Cell::new(init)).collect(),
             len,
             uid: next_uid(),
         }
@@ -444,7 +483,7 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_read(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].load(Ordering::Relaxed)
+        self.data[i].get()
     }
 
     /// Random-address read (e.g. the guard load before an atomicMin).
@@ -455,7 +494,7 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_read(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].load(Ordering::Relaxed)
+        self.data[i].get()
     }
 
     /// Coalesced write.
@@ -465,7 +504,7 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_write(self.shadow_ref(), sanitize::current_task(), i, v);
         }
-        self.data[i].store(v, Ordering::Relaxed);
+        self.data[i].set(v);
     }
 
     /// Random-address write.
@@ -475,7 +514,7 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_write(self.shadow_ref(), sanitize::current_task(), i, v);
         }
-        self.data[i].store(v, Ordering::Relaxed);
+        self.data[i].set(v);
     }
 
     /// 64-bit `atomicMin` — the deterministic-reservation primitive.
@@ -485,7 +524,8 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_rmw(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].fetch_min(v, Ordering::AcqRel)
+        let w = &self.data[i];
+        w.replace(w.get().min(v))
     }
 
     /// Cache-resident random read: the reservation words are touched by
@@ -499,20 +539,20 @@ impl BufU64 {
         if sanitize::active() {
             sanitize::device_read(self.shadow_ref(), sanitize::current_task(), i);
         }
-        self.data[i].load(Ordering::Relaxed)
+        self.data[i].get()
     }
 
     /// Unmetered host-side read.
     #[must_use]
     pub fn host_read(&self, i: usize) -> u64 {
-        self.data[i].load(Ordering::Acquire)
+        self.data[i].get()
     }
 
     /// Unmetered host-side fill.
     pub fn fill(&self, v: u64) {
         sanitize::on_host_write(self.uid, 0, self.len);
         for x in &self.data[..self.len] {
-            x.store(v, Ordering::Release);
+            x.set(v);
         }
     }
 }
@@ -625,19 +665,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_atomic_min_is_exact() {
-        let b = BufU64::new(1, u64::MAX);
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let b = &b;
-                s.spawn(move || {
-                    let mut ctx = TaskCtx::new();
-                    for k in 0..1000u64 {
-                        b.atomic_min(&mut ctx, 0, (t + 1) * 1_000_000 - k);
-                    }
-                });
+    fn ld_chase_meters_like_the_gather_loop() {
+        // 0 → 1 → … → 10 is a 10-hop chain to the root 10; 11 → 10 is one.
+        let b = BufU32::from_slice(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 10]);
+        for (start, hops) in [(10, 0), (11, 1), (0, 10), (4, 6)] {
+            let (mut looped, mut x) = (TaskCtx::new(), start);
+            loop {
+                let p = b.ld_gather(&mut looped, x as usize);
+                if p == x {
+                    break;
+                }
+                x = p;
             }
-        });
-        assert_eq!(b.host_read(0), 1_000_000 - 999);
+            let mut chased = TaskCtx::new();
+            assert_eq!(b.ld_chase(&mut chased, start), (10, hops));
+            assert_eq!(x, 10);
+            assert_eq!(chased, looped);
+        }
     }
 }

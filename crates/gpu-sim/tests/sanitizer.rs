@@ -156,6 +156,57 @@ fn logical_out_of_bounds_within_capacity_is_detected() {
     assert_eq!(v.word, 7);
 }
 
+/// initcheck through a pointer chase: `ld_chase` walks via `ld_gather`
+/// under a session, so a hop onto a word never written since an
+/// uninitialized acquire is flagged at that word.
+#[test]
+fn chase_through_unwritten_word_is_detected() {
+    let ((), report) = with_sanitizer(|| {
+        let mut arena = DeviceArena::new();
+        let parent = arena.acquire_u32_uninit(4);
+        sanitize::label(&parent, "parent");
+        parent.host_write(0, 0);
+        parent.host_write(1, 2); // word 2 is never written
+        let mut dev = device();
+        let _ = dev.launch("chase_uninit", 1, |_, ctx| {
+            let _ = parent.ld_chase(ctx, 1);
+        });
+        arena.release_u32(parent);
+    });
+    assert_eq!(report.violations().len(), 1, "{report}");
+    let v = &report.violations()[0];
+    assert_eq!((v.kind, v.word), (ViolationKind::UninitRead, 2));
+    assert_eq!(
+        (v.kernel.as_str(), v.buffer.as_str()),
+        ("chase_uninit", "parent")
+    );
+}
+
+/// memcheck through a pointer chase: a parent pointer past the logical
+/// length (but within the physical capacity) is flagged where it lands.
+#[test]
+fn chase_past_logical_length_is_detected() {
+    let ((), report) = with_sanitizer(|| {
+        let mut parent = BufU32::from_slice(&[1, 7, 2, 3, 4, 5, 6, 7]);
+        parent.retarget(5);
+        sanitize::label(&parent, "parent");
+        let mut dev = device();
+        let _ = dev.launch("chase_oob", 1, |_, ctx| {
+            assert_eq!(parent.ld_chase(ctx, 0), (7, 2));
+        });
+    });
+    assert_eq!(report.violations().len(), 1, "{report}");
+    let v = &report.violations()[0];
+    assert_eq!(
+        (v.kind, v.kind.tool(), v.word),
+        (ViolationKind::OutOfBounds, Tool::Memcheck, 7)
+    );
+    assert_eq!(
+        (v.kernel.as_str(), v.buffer.as_str()),
+        ("chase_oob", "parent")
+    );
+}
+
 /// synccheck: a ballot over an empty active mask and a shfl sourcing a
 /// lane outside the participating set are both divergence violations.
 #[test]

@@ -27,6 +27,7 @@ const METERED: &[&str] = &[
     "ld_row",
     "ld_cached",
     "ld4",
+    "ld_chase",
     "st",
     "st_scatter",
     "st4",
@@ -133,5 +134,20 @@ impl Rule for MeteringCompleteness {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_chase_alone_meters_the_launch() {
+        let src = "pub fn run(dev: &mut Device, parent: &BufU32) {\n    \
+                   dev.launch(\"find\", 4, |i, ctx| {\n        \
+                   let _ = parent.ld_chase(ctx, i as u32);\n    });\n}\n";
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", src)]);
+        let report = crate::run(&ws, &[Box::new(MeteringCompleteness) as Box<dyn Rule>]);
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 }

@@ -588,9 +588,15 @@ pub fn attach(name: &'static str, value: f64) {
 /// thread-local read here.
 #[inline]
 pub fn record_find_hops(hops: u32) {
-    if !active() {
-        return;
+    if active() {
+        record_find_hops_cold(hops);
     }
+}
+
+/// The session side of [`record_find_hops`], kept out of line so the
+/// inlined gate stays one thread-local load.
+#[cold]
+fn record_find_hops_cold(hops: u32) {
     with_state(|s| {
         s.hops.record(hops);
         s.totals.find_calls += 1;
