@@ -23,6 +23,8 @@ use ecl_gpu_sim::{
     WarpCtx, WARP_SIZE,
 };
 use ecl_graph::{CsrGraph, Weight};
+use ecl_trace::HopHistogram;
+use std::cell::RefCell;
 
 /// Result of a simulated GPU run, with the simulated clock readings.
 #[derive(Debug)]
@@ -61,6 +63,13 @@ struct GpuState<'g> {
     wl: [WlBuf; 2],
     wl_size: BufU32,
     iterations: usize,
+    /// Whether a trace session is active on the calling thread: finds then
+    /// tally their hops into `hops`, which each launch publishes once.
+    /// Captured once — the hot path must not re-query.
+    collect_hops: bool,
+    /// Launch tasks run in order on the calling thread (DESIGN §8), so
+    /// one unshared histogram serves every task of a launch.
+    hops: RefCell<HopHistogram>,
 }
 
 /// Worklist storage honoring the tuples toggle.
@@ -156,6 +165,8 @@ impl<'g> GpuState<'g> {
                 ],
                 wl_size: a.acquire_u32_uninit(2),
                 iterations: 0,
+                collect_hops: ecl_trace::active(),
+                hops: RefCell::default(),
             };
             sanitize::label(&st.parent, "parent");
             sanitize::label(&st.min_edge, "min_edge");
@@ -185,9 +196,9 @@ impl<'g> GpuState<'g> {
     /// one metered pointer chase; the de-optimized variant path-halves as it
     /// walks (extra scattered stores).
     ///
-    /// The chain length is kept in a register and reported to the tracer's
-    /// hop histogram at the end — one thread-local read per call when
-    /// tracing is off, nothing on the metered counters either way.
+    /// Under a trace session the chain length is tallied into the state's
+    /// hop histogram; untraced, the tally costs one predictable branch.
+    /// Nothing reaches the metered counters either way.
     #[inline(always)]
     fn find(&self, ctx: &mut TaskCtx, mut x: u32) -> u32 {
         let (root, hops) = if self.cfg.implicit_compression {
@@ -207,8 +218,18 @@ impl<'g> GpuState<'g> {
                 x = gp;
             }
         };
-        ecl_trace::record_find_hops(hops);
+        if self.collect_hops {
+            self.hops.borrow_mut().record(hops);
+        }
         root
+    }
+
+    /// Hands the hops tallied since the last call to the trace session:
+    /// called once after every launch whose tasks may run finds.
+    fn publish_hops(&self) {
+        if self.collect_hops {
+            ecl_trace::record_find_histogram(&self.hops.take());
+        }
     }
 
     /// Device-side lock-free union (Line 30: the `atomicCAS`).
@@ -301,6 +322,7 @@ impl<'g> GpuState<'g> {
                 );
             }
         });
+        st.publish_hops();
     }
 
     #[inline]
@@ -432,6 +454,7 @@ impl<'g> GpuState<'g> {
             st.reserve(ctx, p, val);
             st.reserve(ctx, q, val);
         });
+        st.publish_hops();
     }
 
     /// **Kernel 2** (Lines 27–33): reserved edges join the MST; their sets
@@ -453,6 +476,7 @@ impl<'g> GpuState<'g> {
                 st.in_mst.st_scatter(ctx, id as usize, 1);
             }
         });
+        st.publish_hops();
     }
 
     /// **Kernel 3** (Lines 34–37): reset the touched reservation words.
@@ -468,6 +492,7 @@ impl<'g> GpuState<'g> {
             st.min_edge.st_scatter(ctx, p as usize, FREE);
             st.min_edge.st_scatter(ctx, q as usize, FREE);
         });
+        st.publish_hops();
     }
 
     /// Data-driven main loop over one phase (Lines 12–39).
@@ -576,6 +601,7 @@ impl<'g> GpuState<'g> {
                     }
                 });
             }
+            self.publish_hops();
             dev.sync_read();
             if live.host_read(0) == 0 {
                 break;
@@ -595,6 +621,7 @@ impl<'g> GpuState<'g> {
                     }
                 });
             }
+            self.publish_hops();
             let min_edge = &self.min_edge;
             let _ = dev.launch("kernel3", n, |v, ctx| {
                 min_edge.st(ctx, v, FREE);

@@ -178,8 +178,11 @@ struct Checkpoint {
 /// what it reads: the file length, the structure, and that the range's
 /// first and last `row_starts` words and its emission count still match
 /// the checkpoints. Any mismatch means the file changed underneath the
-/// source, and the shard call panics rather than return edges. Memory is
-/// `O(n / CHECKPOINT_ROWS)` plus the shard itself, never an `O(n)` array.
+/// source, and the shard call panics rather than return edges. Both walks
+/// take a row's arcs a block-bounded slice at a time, with one range check
+/// and one emission count per slice. Memory is `O(n / CHECKPOINT_ROWS)`
+/// plus the shard itself and one read block per stream, never an `O(n)`
+/// array.
 pub struct BinaryFileShards {
     path: PathBuf,
     num_vertices: usize,
@@ -210,18 +213,11 @@ impl BinaryFileShards {
             emitted: 0,
         };
         let mut checkpoints = Vec::with_capacity(n / CHECKPOINT_ROWS + 2);
-        let end = src.walk(
-            &file,
-            start,
-            (n, arcs),
-            false,
-            |c| {
-                if c.row % CHECKPOINT_ROWS == 0 {
-                    checkpoints.push(c);
-                }
-            },
-            |_| {},
-        )?;
+        let end = src.walk(&file, start, (n, arcs), None, |c| {
+            if c.row % CHECKPOINT_ROWS == 0 {
+                checkpoints.push(c);
+            }
+        })?;
         if end.arc != arcs {
             return Err(
                 format!("row_starts ends at {}, expected arc count {arcs}", end.arc).into(),
@@ -286,73 +282,99 @@ impl BinaryFileShards {
 
     /// Walks rows `from.row..to_row`, whose arcs end at `arc_end`,
     /// validating structure, handing `at_row` the state at the start of
-    /// every row and `emit` every `u < v` arc (weight 0 unless `weights`).
-    /// Reads exactly `row_starts[from.row..=to_row]` and the range's arcs,
-    /// and returns the state at `to_row`.
+    /// every row and, when `out` is given, appending every `u < v` arc
+    /// with its weight to it. Reads exactly `row_starts[from.row..=to_row]`
+    /// and the range's arcs (weights only for `out`), and returns the
+    /// state at `to_row`.
     fn walk(
         &self,
         file: &File,
         from: Checkpoint,
         (to_row, arc_end): (usize, usize),
-        weights: bool,
+        mut out: Option<&mut Vec<ShardTriple>>,
         mut at_row: impl FnMut(Checkpoint),
-        mut emit: impl FnMut(ShardTriple),
     ) -> Result<Checkpoint, crate::io::BinaryError> {
         let (n, arcs) = (self.num_vertices, self.arcs);
         let arc_words = arc_end - from.arc;
         let mut rows = Words::new(file, self.row_at(from.row), to_row - from.row + 1);
         let mut adj = Words::new(file, self.adj_at(from.arc), arc_words);
-        let mut wts = weights.then(|| Words::new(file, self.wts_at(from.arc), arc_words));
+        let mut wts = out
+            .is_some()
+            .then(|| Words::new(file, self.wts_at(from.arc), arc_words));
 
-        let first = rows.next()? as usize;
+        let first = rows.take(1)?[0] as usize;
         if first != from.arc {
             return Err(
                 format!("row_starts[{}] = {first}, expected {}", from.row, from.arc).into(),
             );
         }
         let mut at = from;
-        for u in from.row..to_row {
-            at_row(at);
-            let row_end = rows.next()? as usize;
-            if row_end < at.arc || row_end > arcs {
-                return Err(format!(
-                    "row_starts not monotone within bounds at vertex {u}: \
-                     {} -> {row_end} (arcs {arcs})",
-                    at.arc
-                )
-                .into());
-            }
-            for _ in at.arc..row_end {
-                let v = adj.next()?;
-                let w = match wts.as_mut() {
-                    Some(wts) => wts.next()?,
-                    None => 0,
-                };
-                if v as usize >= n {
-                    return Err(format!("adjacency target {v} out of range (n {n})").into());
+        while at.row < to_row {
+            for &row_end in rows.take(to_row - at.row)? {
+                let (u, row_end) = (at.row as u32, row_end as usize);
+                at_row(at);
+                if row_end < at.arc || row_end > arcs {
+                    return Err(format!(
+                        "row_starts not monotone within bounds at vertex {u}: \
+                         {} -> {row_end} (arcs {arcs})",
+                        at.arc
+                    )
+                    .into());
                 }
-                if (u as u32) < v {
-                    emit((u as u32, v, w));
-                    at.emitted += 1;
+                // The row's arcs, one block-bounded slice at a time. Both
+                // arc streams start at `from.arc` and refill every
+                // `BLOCK_WORDS` words, so their slices pair up exactly.
+                while at.arc < row_end {
+                    let targets = adj.take(row_end - at.arc)?;
+                    // One pass per slice: the largest target and the
+                    // number of `u < v` arcs, appended as they are met. A
+                    // bad target fails the walk, so what a failed slice
+                    // appended is never handed out.
+                    let (hi, emitted) = match (out.as_deref_mut(), wts.as_mut()) {
+                        (Some(out), Some(wts)) => {
+                            let ws = wts.take(targets.len())?;
+                            assert_eq!(ws.len(), targets.len(), "arc streams out of step");
+                            let before = out.len();
+                            let mut hi = 0;
+                            for (&v, &w) in targets.iter().zip(ws) {
+                                hi = hi.max(v);
+                                if u < v {
+                                    out.push((u, v, w));
+                                }
+                            }
+                            (hi, out.len() - before)
+                        }
+                        _ => targets
+                            .iter()
+                            .fold((0, 0), |(hi, c), &v| (hi.max(v), c + usize::from(u < v))),
+                    };
+                    if hi as usize >= n {
+                        let v = targets
+                            .iter()
+                            .find(|&&v| v as usize >= n)
+                            .expect("the largest is out of range");
+                        return Err(format!("adjacency target {v} out of range (n {n})").into());
+                    }
+                    at.emitted += emitted;
+                    at.arc += targets.len();
                 }
+                at.row += 1;
             }
-            at.row = u + 1;
-            at.arc = row_end;
         }
         Ok(at)
     }
 
-    /// Reads the rows between two checkpoints, re-checking the file
-    /// against what `open` recorded.
+    /// Appends the edges of the rows between two checkpoints to `out`,
+    /// re-checking the file against what `open` recorded.
     fn read_range(
         &self,
         from: Checkpoint,
         to: Checkpoint,
-        emit: impl FnMut(ShardTriple),
+        out: &mut Vec<ShardTriple>,
     ) -> Result<(), crate::io::BinaryError> {
         let file = self.open_file()?;
         self.check_len(&file)?;
-        let end = self.walk(&file, from, (to.row, to.arc), true, |_| {}, emit)?;
+        let end = self.walk(&file, from, (to.row, to.arc), Some(out), |_| {})?;
         if end != to {
             return Err(format!(
                 "rows {}..{} end at arc {} with {} emissions, recorded arc {} with {}",
@@ -373,7 +395,7 @@ impl EdgeShards for BinaryFileShards {
         check_shard_index(k, of);
         let (from, to) = (self.boundary(k, of), self.boundary(k + 1, of));
         let mut out = Vec::with_capacity(to.emitted - from.emitted);
-        self.read_range(from, to, |t| out.push(t))
+        self.read_range(from, to, &mut out)
             .expect("validated at open; file changed underneath the shard stream");
         out
     }
@@ -431,13 +453,16 @@ impl<'f> Words<'f> {
         }
     }
 
-    fn next(&mut self) -> Result<u32, crate::io::BinaryError> {
+    /// The next `want` words of the slice, or fewer: never more than the
+    /// current block holds. Refills first when the block is used up, so
+    /// the slice is empty only when `want` is 0.
+    fn take(&mut self, want: usize) -> Result<&[u32], crate::io::BinaryError> {
         if self.next == self.block.len() {
             self.refill()?;
         }
-        let w = self.block[self.next];
-        self.next += 1;
-        Ok(w)
+        let start = self.next;
+        self.next += want.min(self.block.len() - start);
+        Ok(&self.block[start..self.next])
     }
 
     fn refill(&mut self) -> Result<(), crate::io::BinaryError> {
@@ -627,6 +652,53 @@ mod tests {
 
         std::fs::write(&path, &pristine).unwrap();
         union_rebuilds(&src, 3, &g);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_shards_reject_a_bad_target_at_a_block_boundary() {
+        // A star: row 0 lists every other vertex, so its arcs fill more
+        // than two read blocks and both words either side of the first
+        // block boundary lie inside that one row.
+        let n = 2 * BLOCK_WORDS + 1000;
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as u32 {
+            b.add_edge(0, v, v % 97);
+        }
+        let g = b.build();
+        let (dir, path) = write_temp(&g, "boundary");
+        let pristine = std::fs::read(&path).unwrap();
+        let adjacency = 16 + 4 * (n + 1);
+        let corrupt = |bad: &[(usize, u32)]| {
+            let mut bytes = pristine.clone();
+            for &(arc, target) in bad {
+                bytes[adjacency + 4 * arc..][..4].copy_from_slice(&target.to_le_bytes());
+            }
+            std::fs::write(&path, bytes).unwrap();
+        };
+        let (last, first) = (BLOCK_WORDS - 1, BLOCK_WORDS);
+        let (t_last, t_first) = (n as u32 + 7, u32::MAX);
+        let src = BinaryFileShards::open(&path).unwrap();
+        for bad in [
+            vec![(last, t_last)],
+            vec![(first, t_first)],
+            vec![(first, t_first), (last, t_last)],
+        ] {
+            corrupt(&bad);
+            // The error names the bad target that comes first in the file.
+            let named = bad.iter().min().unwrap().1;
+            let err = BinaryFileShards::open(&path)
+                .err()
+                .expect("open must reject");
+            assert!(
+                err.to_string()
+                    .contains(&format!("adjacency target {named} out of range")),
+                "{err}"
+            );
+            assert_file_changed(|| src.shard(0, 1));
+        }
+        std::fs::write(&path, &pristine).unwrap();
+        assert_eq!(src.shard(0, 1), g.edge_list());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -583,31 +583,10 @@ pub fn attach(name: &'static str, value: f64) {
     });
 }
 
-/// Records one `find()` call that walked `hops` parent links. No-op when
-/// tracing is off — callers keep the hop count in a register and pay one
-/// thread-local read here.
-#[inline]
-pub fn record_find_hops(hops: u32) {
-    if active() {
-        record_find_hops_cold(hops);
-    }
-}
-
-/// The session side of [`record_find_hops`], kept out of line so the
-/// inlined gate stays one thread-local load.
-#[cold]
-fn record_find_hops_cold(hops: u32) {
-    with_state(|s| {
-        s.hops.record(hops);
-        s.totals.find_calls += 1;
-        s.totals.find_hops += hops as u64;
-    });
-}
-
-/// Records a batch of `find()` calls counted elsewhere (a kernel's
-/// per-chunk tallies, folded on the thread that owns the session): the
-/// same totals as one [`record_find_hops`] per call. No-op when tracing
-/// is off.
+/// Records a batch of `find()` calls counted elsewhere (a CPU kernel's
+/// per-chunk tallies or a simulated launch's, folded on the thread that
+/// owns the session). The backends tally locally so a traced find costs
+/// a histogram update, not a session lookup. No-op when tracing is off.
 pub fn record_find_histogram(hops: &HopHistogram) {
     if !active() || hops.calls == 0 {
         return;
@@ -706,7 +685,9 @@ mod tests {
     #[test]
     fn disabled_hooks_are_noops() {
         assert!(!active());
-        record_find_hops(5);
+        let mut h = HopHistogram::default();
+        h.record(5);
+        record_find_histogram(&h);
         attach("x", 1.0);
         close_range();
         let _g = RangeGuard::open("dead", Clock::Wall);

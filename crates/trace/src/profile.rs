@@ -514,7 +514,9 @@ mod tests {
                         ..Default::default()
                     },
                 );
-                crate::record_find_hops(2);
+                let mut hops = HopHistogram::default();
+                hops.record(2);
+                crate::record_find_histogram(&hops);
             }
             crate::on_memcpy("sync_read", 4, 5e-7);
             crate::on_memcpy("memcpy_d2h", 1 << 20, 1e-5);

@@ -123,6 +123,52 @@ fn file_backed_spilling_pipeline_matches_kruskal_at_any_thread_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn file_reader_crosses_block_boundaries_inside_one_row() {
+    // One hub row of more arcs than two 64 Ki-word read blocks hold, in a
+    // sparse random graph: the file reader's row slices end at block
+    // boundaries inside that row, in every shard call of both passes.
+    use ecl_mst_repro::graph::{io::write_binary, par::with_serial_input, BinaryFileShards};
+    let (n, hub) = (150_000u32, 1_000u32);
+    let mut w = lcg(31);
+    let mut b = GraphBuilder::new(n as usize);
+    for v in (0..n).filter(|&v| v != hub) {
+        b.add_edge(hub, v, w(1 << 24));
+    }
+    for (u, v, wt) in random_triples(n, 2 * n as usize, 37, |_| w(1 << 24)) {
+        b.add_edge(u, v, wt);
+    }
+    let g = b.build();
+    assert!(g.degree(hub) > 2 * 65_536);
+    let expected = serial_kruskal(&g);
+    let dir = std::env::temp_dir().join(format!("ecl-sharded-hub-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hub.eclg");
+    write_binary(&g, &path).unwrap();
+    let src = BinaryFileShards::open(&path).unwrap();
+    let spill = dir.join("spill");
+    for shards in [1, 3, 8] {
+        let emitted: Vec<_> = (0..shards).flat_map(|k| src.shard(k, shards)).collect();
+        assert_eq!(emitted, g.edge_list(), "shards in order at K={shards}");
+
+        let cfg = ShardedConfig::spilling(shards, &spill);
+        let run = sharded_msf(&src, &cfg);
+        assert_eq!(
+            run.forest.to_mst_result(&g).in_mst,
+            expected.in_mst,
+            "hub file diverges at K={shards}"
+        );
+        assert_eq!(run.forest.total_weight, expected.total_weight);
+        assert!(run.survivor_edges > 0, "heavy pass skipped at K={shards}");
+
+        let pinned = with_serial_input(|| sharded_msf(&src, &cfg));
+        assert_eq!(pinned.survivor_edges, run.survivor_edges, "K={shards}");
+        assert_eq!(pinned.merge_rounds, run.merge_rounds, "K={shards}");
+        assert_eq!(pinned.spill_bytes, run.spill_bytes, "K={shards}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Solves the raw emission list `triples` (duplicates and loops allowed)
 /// at K ∈ {1, 3, 64}, in memory and spilling, checks every forest against
 /// `serial_kruskal` on the deduplicated graph and that no spill file is
